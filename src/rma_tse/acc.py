@@ -12,15 +12,23 @@ s_i/c/s_o with c = s_i XOR x_{k-1} XOR x_k.  Paths split into m detours that
 leave and re-merge with the zero state (type-2 error events, the only source
 of output weight) and n one-section self-loops 1/1/0 at the zero state
 (type-1 error events).  For fixed (m, n) the number of paths is a product of
-five binomial coefficients; summing that product over the feasible (m, n) box
-gives the class count.
+five binomial coefficients; ``decompositions`` lists these (m, n) terms.
+With h = (a_i + b)/2, Vandermonde's identity
+sum_n C(N-a_o-m, n) C(a_o-m, h-m-n) = C(N-2m, h-m) sums out n, so a class
+count is the single sum over m
+
+    sum_m C(N-a_o, m) C(a_o-1, m-1) C(2m, (a_i-b)/2 + m) C(N-2m, h-m),
+
+evaluated in one value domain: exact integers, or natural logs of counts.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Tuple, Union
+from fractions import Fraction
+from typing import Callable, Dict, List, Tuple, Union
 
 from .combinatorics import (
     NEG_INF,
@@ -56,6 +64,51 @@ class RangeError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """The request exceeds a configured size ceiling."""
+
+
+@dataclass(frozen=True)
+class _Domain:
+    """The arithmetic that counts are evaluated in.
+
+    ``zero``, ``binom``, ``mul`` and ``total`` (a sum over an iterable) act
+    on exact integers or on their natural logs.  ``place(N, a)`` is the
+    inverse of the C(N, a) placements of a uniform interleaver, carried as
+    the integer a!(N-a)! = N!/C(N, a) in the exact domain; ``finish(x, N, L)``
+    removes that N! per level from a value after L placements.
+    """
+
+    zero: Union[BigCount, LogValue]
+    binom: Callable
+    mul: Callable
+    total: Callable
+    place: Callable
+    finish: Callable
+
+
+_EXACT = _Domain(
+    zero=0,
+    binom=binomial,
+    mul=operator.mul,
+    total=sum,
+    place=lambda N, a: math.factorial(a) * math.factorial(N - a),
+    finish=lambda x, N, L: Fraction(x, math.factorial(N) ** L),
+)
+_LOG = _Domain(
+    zero=NEG_INF,
+    binom=log_binomial,
+    mul=operator.add,
+    total=log_sum_exp,
+    place=lambda N, a: -log_binomial(N, a),
+    finish=lambda x, N, L: x,
+)
+
+
+def _domain(mode: str) -> _Domain:
+    if mode == "exact":
+        return _EXACT
+    if mode == "log":
+        return _LOG
+    raise ValueError(f"mode must be 'exact' or 'log', got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -130,69 +183,29 @@ class IotseTable:
     entries: Dict[Tuple[int, int, int], Union[BigCount, LogValue]]
 
     def get(self, a_i: int, a_o: int, b: int) -> Union[BigCount, LogValue]:
-        zero = 0 if self.mode == "exact" else NEG_INF
-        return self.entries.get((a_i, a_o, b), zero)
+        return self.entries.get((a_i, a_o, b), _domain(self.mode).zero)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("exact", "log"):
-        raise ValueError(f"mode must be 'exact' or 'log', got {mode!r}")
+def _count(dom: _Domain, N: int, a_i: int, a_o: int, b: int):
+    """Count of class (a_i, a_o, b) in ``dom``: the single sum over m.
 
-
-def _mn_box(N: int, a_i: int, a_o: int, b: int):
-    """Yield the feasible (m, n, w_t, w_11) tuples of a class with a_o >= 1.
-
-    All five binomials are nonzero inside these bounds, so each yielded tuple
-    contributes a positive product term.
+    Inside the m-range every binomial is nonzero, so every term is positive.
     """
-    half_sum = (a_i + b) // 2
-    m_lo = max(1, abs(a_i - b) // 2)
-    m_hi = min(a_o, N - a_o)
-    for m in range(m_lo, m_hi + 1):
-        w_t = (a_i - b) // 2 + m
-        if w_t < 0 or w_t > 2 * m:
-            continue
-        n_lo = max(0, half_sum - a_o)
-        n_hi = min(N - a_o - m, half_sum - m)
-        for n in range(n_lo, n_hi + 1):
-            yield m, n, w_t, half_sum - n - m
-
-
-@lru_cache(maxsize=200_000)
-def _iotse_exact(N: int, a_i: int, a_o: int, b: int) -> int:
     if (a_i + b) % 2:
-        return 0
+        return dom.zero
     if a_o == 0:
         # Pure type-1-event paths: each of the a_i set positions is one
         # 1/1/0 self-loop contributing one unsatisfied check.
-        return binomial(N, a_i) if a_i == b else 0
-    total = 0
-    for m, n, w_t, w_11 in _mn_box(N, a_i, a_o, b):
-        total += (
-            binomial(N - a_o, m)
-            * binomial(a_o - 1, m - 1)
-            * binomial(a_o - m, w_11)
-            * binomial(N - a_o - m, n)
-            * binomial(2 * m, w_t)
+        return dom.binom(N, a_i) if a_i == b else dom.zero
+    h, d = (a_i + b) // 2, (a_i - b) // 2
+    binom, mul = dom.binom, dom.mul
+    return dom.total(
+        mul(
+            mul(binom(N - a_o, m), binom(a_o - 1, m - 1)),
+            mul(binom(2 * m, d + m), binom(N - 2 * m, h - m)),
         )
-    return total
-
-
-def _iotse_log(N: int, a_i: int, a_o: int, b: int) -> LogValue:
-    if (a_i + b) % 2:
-        return NEG_INF
-    if a_o == 0:
-        return log_binomial(N, a_i) if a_i == b else NEG_INF
-    terms = []
-    for m, n, w_t, w_11 in _mn_box(N, a_i, a_o, b):
-        terms.append(
-            log_binomial(N - a_o, m)
-            + log_binomial(a_o - 1, m - 1)
-            + log_binomial(a_o - m, w_11)
-            + log_binomial(N - a_o - m, n)
-            + log_binomial(2 * m, w_t)
-        )
-    return log_sum_exp(terms)
+        for m in range(max(1, abs(d)), min(a_o, N - a_o, h, N - h) + 1)
+    )
 
 
 def acc_iotse(triple: AccTriple, mode: str = "exact") -> Union[BigCount, LogValue]:
@@ -201,10 +214,7 @@ def acc_iotse(triple: AccTriple, mode: str = "exact") -> Union[BigCount, LogValu
     Returns an exact integer in ``exact`` mode, or the natural log of the
     count (NEG_INF for zero) in ``log`` mode.
     """
-    _check_mode(mode)
-    if mode == "exact":
-        return _iotse_exact(triple.N, triple.a_i, triple.a_o, triple.b)
-    return _iotse_log(triple.N, triple.a_i, triple.a_o, triple.b)
+    return _count(_domain(mode), triple.N, triple.a_i, triple.a_o, triple.b)
 
 
 def acc_iowe(N: int, w: int, d: int) -> BigCount:
@@ -227,21 +237,19 @@ def acc_iowe(N: int, w: int, d: int) -> BigCount:
 
 def acc_iotse_table(N: int, mode: str = "exact") -> IotseTable:
     """Tabulate every nonzero class count of block length N."""
-    _check_mode(mode)
+    dom = _domain(mode)
     if N < 1:
         raise RangeError(f"block length must be >= 1, got {N}")
-    if mode == "exact" and N > EXACT_TABLE_N_MAX:
+    if dom is _EXACT and N > EXACT_TABLE_N_MAX:
         raise ResourceLimitError(
             f"exact table for N={N} exceeds ceiling {EXACT_TABLE_N_MAX}"
         )
-    fn = _iotse_exact if mode == "exact" else _iotse_log
-    zero = 0 if mode == "exact" else NEG_INF
     entries: Dict[Tuple[int, int, int], Union[BigCount, LogValue]] = {}
     for a_i in range(N + 1):
         for a_o in range(N):  # a_o = N never occurs under termination
             for b in range(a_i % 2, N + 1, 2):  # a_i + b must be even
-                v = fn(N, a_i, a_o, b)
-                if v != zero:
+                v = _count(dom, N, a_i, a_o, b)
+                if v != dom.zero:
                     entries[(a_i, a_o, b)] = v
     return IotseTable(N=N, mode=mode, entries=entries)
 
@@ -258,15 +266,19 @@ def decompositions(triple: AccTriple) -> List[Tuple[PathDecomposition, BigCount]
         if a_i != b:
             return []
         return [(PathDecomposition(m=0, n=a_i, w_t=0, w_11=0), binomial(N, a_i))]
+    half_sum = (a_i + b) // 2
     out = []
-    for m, n, w_t, w_11 in _mn_box(N, a_i, a_o, b):
-        count = (
-            binomial(N - a_o, m)
-            * binomial(a_o - 1, m - 1)
-            * binomial(a_o - m, w_11)
-            * binomial(N - a_o - m, n)
-            * binomial(2 * m, w_t)
-        )
-        if count:
-            out.append((PathDecomposition(m=m, n=n, w_t=w_t, w_11=w_11), count))
+    for m in range(max(1, abs(a_i - b) // 2), min(a_o, N - a_o) + 1):
+        w_t = (a_i - b) // 2 + m
+        for n in range(max(0, half_sum - a_o), min(N - a_o - m, half_sum - m) + 1):
+            w_11 = half_sum - n - m
+            count = (
+                binomial(N - a_o, m)
+                * binomial(a_o - 1, m - 1)
+                * binomial(a_o - m, w_11)
+                * binomial(N - a_o - m, n)
+                * binomial(2 * m, w_t)
+            )
+            if count:
+                out.append((PathDecomposition(m=m, n=n, w_t=w_t, w_11=w_11), count))
     return out

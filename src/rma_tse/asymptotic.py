@@ -72,7 +72,7 @@ class SplitPolicy:
 
     def __post_init__(self) -> None:
         if self.fractions is not None:
-            fr = tuple(float(f) for f in self.fractions)
+            fr = tuple(_finite("split fraction", f) for f in self.fractions)
             if any(f < -_PIN_TOL for f in fr):
                 raise DomainError(f"split fractions must be nonnegative: {fr}")
             if abs(sum(fr) - 1.0) > 1e-9:
@@ -97,7 +97,16 @@ class SplitPolicy:
         return "fixed:" + ",".join(format(f, ".9g") for f in self.fractions)
 
 
+def _finite(name: str, x: float) -> float:
+    """``x`` as a float; NaN and infinities raise ``DomainError``."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name}={x!r} is not finite")
+    return x
+
+
 def _check_unit(name: str, x: float) -> float:
+    x = _finite(name, x)
     if x < -_PIN_TOL or x > 1.0 + _PIN_TOL:
         raise DomainError(f"{name}={x!r} outside [0, 1]")
     return min(max(x, 0.0), 1.0)
@@ -140,6 +149,8 @@ class AsymptoticQuery:
     def __post_init__(self) -> None:
         if self.q < 1 or self.L < 1:
             raise DomainError(f"q and L must be >= 1, got {self.q}, {self.L}")
+        _finite("alpha", self.alpha)
+        _finite("beta", self.beta)
         if self.alpha < 0 or self.beta < 0:
             raise DomainError("alpha and beta must be nonnegative")
         if not self.split.is_free and len(self.split.fractions) != self.L:
@@ -186,9 +197,9 @@ class SweepSpec:
     grid_points: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
+        if _finite("delta", self.delta) < 0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
-        grid = tuple(float(a) for a in self.alpha_grid)
+        grid = tuple(_finite("alpha", a) for a in self.alpha_grid)
         if any(a <= 0.0 or a > 1.0 for a in grid):
             raise DomainError("alpha grid values must lie in (0, 1]")
         if any(y <= x for x, y in zip(grid, grid[1:])):
@@ -436,11 +447,20 @@ def _facc_batch(ai: np.ndarray, ao: np.ndarray, b: np.ndarray, iters: int = 55) 
 # Outer problem
 # ---------------------------------------------------------------------------
 
-def _free_dims(query: AsymptoticQuery) -> int:
-    d = 1 + (query.L - 1)
-    if query.split.is_free:
-        d += query.L - 1
-    return d
+def _grid_resolution(L: int, split: SplitPolicy, grid_points: Optional[int]) -> int:
+    """Points per free dimension of the coarse grid that ``r_point`` uses.
+
+    An explicit ``grid_points`` is kept (at least 2); the default shrinks
+    until the grid over omega, L-1 output shares and, with a free split,
+    L-1 check shares fits ``_GRID_BUDGET``.
+    """
+    if grid_points is not None:
+        return max(int(grid_points), 2)
+    d = L + (L - 1 if split.is_free else 0)
+    g = DEFAULT_GRID_POINTS
+    while g > 5 and g**d > _GRID_BUDGET:
+        g -= 1
+    return g
 
 
 def _grid_axis(upper: float, g: int) -> np.ndarray:
@@ -503,13 +523,7 @@ def _eval_candidate(query: AsymptoticQuery, x: Sequence[float]):
 def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
     """Deterministic coarse grid; returns candidate matrix and values."""
     q, L, alpha, beta = query.q, query.L, query.alpha, query.beta
-    d = _free_dims(query)
-    if grid_points is not None:
-        g = max(int(grid_points), 2)
-    else:
-        g = DEFAULT_GRID_POINTS
-        while g > 5 and g**d > _GRID_BUDGET:
-            g -= 1
+    g = _grid_resolution(L, query.split, grid_points)
     axes = [_grid_axis(min(1.0, q * alpha), g)]
     axes += [_grid_axis(min(1.0, alpha), g) for _ in range(L - 1)]
     if query.split.is_free:

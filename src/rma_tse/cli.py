@@ -1,8 +1,9 @@
 """Command-line interface with bit-stable CSV/JSON emission.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 infeasible asymptotic query,
-3 verification mismatch.  ``TSE_THREADS`` caps sweep workers; a ``--config``
-file of ``key=value`` lines supplies argument defaults (command line wins).
+3 verification mismatch.  ``TSE_THREADS`` sets the sweep worker count (at
+most one per alpha and per CPU); a ``--config`` file of ``key=value`` lines
+supplies argument defaults (command line wins).
 """
 
 from __future__ import annotations
@@ -177,12 +178,16 @@ def _parse_split(text: str) -> SplitPolicy:
     raise UsageError(f"split must be 'free' or 'fixed:f1,f2,...', got {text!r}")
 
 
-def _workers() -> int:
+def _workers(jobs: int) -> int:
+    """Sweep worker count: ``TSE_THREADS``, capped by the jobs and the CPUs."""
     raw = os.environ.get("TSE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        wanted = int(raw)
     except ValueError:
-        return 1
+        print(f"warning: ignoring TSE_THREADS={raw!r} (not an integer); using 1 worker",
+              file=sys.stderr)
+        wanted = 1
+    return max(1, min(wanted, jobs, os.cpu_count() or 1))
 
 
 def build_parser() -> _Parser:
@@ -316,8 +321,8 @@ def _sweep_one(args: Tuple[SweepSpec, float]) -> AsymptoticPoint:
 
 
 def _run_sweep(spec: SweepSpec) -> List[AsymptoticPoint]:
-    workers = _workers()
-    if workers <= 1 or len(spec.alpha_grid) <= 1:
+    workers = _workers(len(spec.alpha_grid))
+    if workers <= 1:
         return sweep(spec)
     jobs = [(spec, alpha) for alpha in spec.alpha_grid]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -417,11 +422,10 @@ def _cmd_asym_sweep(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         for spec, filename in specs:
             points = _run_sweep(spec)
-            rows = rows_from_points(points, spec.L)
-            grid = spec.grid_points or asymptotic.DEFAULT_GRID_POINTS
             emit_sweep_csv(
-                rows, os.path.join(args.out_dir, filename),
-                q=spec.q, L=spec.L, delta=spec.delta, split=spec.split, grid=grid,
+                rows_from_points(points, spec.L), os.path.join(args.out_dir, filename),
+                q=spec.q, L=spec.L, delta=spec.delta, split=spec.split,
+                grid=asymptotic._grid_resolution(spec.L, spec.split, spec.grid_points),
             )
         return 0
     if args.delta is None:
@@ -433,11 +437,10 @@ def _cmd_asym_sweep(args) -> int:
         q=args.q, L=args.L, split=split, grid_points=args.grid_points,
     )
     points = _run_sweep(spec)
-    rows = rows_from_points(points, spec.L)
-    grid = spec.grid_points or asymptotic.DEFAULT_GRID_POINTS
     emit_sweep_csv(
-        rows, _open_out(args.out),
-        q=spec.q, L=spec.L, delta=spec.delta, split=split, grid=grid,
+        rows_from_points(points, spec.L), _open_out(args.out),
+        q=spec.q, L=spec.L, delta=spec.delta, split=split,
+        grid=asymptotic._grid_resolution(spec.L, split, spec.grid_points),
     )
     return 0
 

@@ -10,18 +10,22 @@ number of ways the interleaver can place each level's input set:
 
 with a_i_1 = q*w and a_i_l = a_o_{l-1}.  Summing profiles with
 w + sum(a_o_l) = a and sum(b_l) = b gives the ensemble-average count of
-(a, b) trapping sets.  Exact mode carries ``Fraction`` values end to end.
+(a, b) trapping sets.
+
+Every query is one sum-product pass over the levels in the value domain of
+``acc`` (exact integers or logs); the queries differ only in the moves a
+state may take and in which states merge.  Exact mode carries integers
+scaled by a_i!(N - a_i)! = N!/C(N, a_i) per level and divides each output by
+(N!)^L once, as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from . import acc
-from .acc import RangeError, ResourceLimitError, _iotse_exact, _iotse_log
-from .combinatorics import NEG_INF, ExactRatio, LogValue, binomial, log_binomial, log_sum_exp
+from .acc import _EXACT, RangeError, ResourceLimitError, _count, _Domain, _domain
+from .combinatorics import ExactRatio, LogValue
 
 __all__ = [
     "EnsembleConfig",
@@ -103,11 +107,72 @@ def _validate_class(config: EnsembleConfig, cls: TrappingSetClass) -> None:
         raise RangeError(f"b={cls.b} outside [0, {config.b_max}]")
 
 
-def _check_ceiling(config: EnsembleConfig, mode: str, limit: int) -> None:
+def _domain_within(config: EnsembleConfig, mode: str, exact_limit: int) -> _Domain:
+    """The value domain of ``mode``, once N is inside that mode's ceiling."""
+    dom = _domain(mode)
+    limit = exact_limit if dom is _EXACT else LOG_N_MAX
     if config.N > limit:
         raise ResourceLimitError(
             f"N={config.N} exceeds the {mode}-mode ceiling {limit}"
         )
+    return dom
+
+
+class _Counts(dict):
+    """Component class counts (a_i, a_o, b) -> count, computed on first use."""
+
+    def __init__(self, dom: _Domain, N: int) -> None:
+        super().__init__()
+        self.dom, self.N = dom, N
+
+    def __missing__(self, key):
+        value = self[key] = _count(self.dom, self.N, *key)
+        return value
+
+
+# A state key starts (a_i of the next level, accumulated a, accumulated b);
+# these functions give the key after a level's move (a_o, b_l).
+def _by_class(key: tuple, a_o: int, b_l: int) -> tuple:
+    return (a_o, key[1] + a_o, key[2] + b_l)
+
+
+def _by_path(key: tuple, a_o: int, b_l: int) -> tuple:
+    # Keeps w and every move, so no two profiles merge.
+    return _by_class(key, a_o, b_l) + key[3:] + ((a_o, b_l),)
+
+
+def _nonzero(counts: _Counts, a_i: int, pairs: Iterable[Tuple[int, int]]) -> list:
+    """(a_o, b_l, count) for each pair whose component count from a_i is nonzero."""
+    zero = counts.dom.zero
+    return [(a_o, b_l, c) for a_o, b_l in pairs if (c := counts[a_i, a_o, b_l]) != zero]
+
+
+def _forward(
+    config: EnsembleConfig,
+    dom: _Domain,
+    ws: Iterable[int],
+    moves: Callable[[int, tuple, _Counts], Iterable[Tuple[int, int, object]]],
+    step: Callable[[tuple, int, int], tuple] = _by_class,
+) -> Dict[tuple, object]:
+    """One sum-product pass over the levels; returns the final states.
+
+    The pass starts at the states (q*w, w, 0, w) with weight C(K, w), one per
+    information weight w in ``ws``.  At each level a state takes every move
+    (a_o, b_l, nonzero component count) of ``moves(level, key, counts)``,
+    times the placement factor of its input count, and the terms reaching
+    the same ``step`` key are summed.  Values stay scaled by N! per level.
+    """
+    N, mul, place = config.N, dom.mul, dom.place
+    counts = _Counts(dom, N)
+    state = {(config.q * w, w, 0, w): dom.binom(config.K, w) for w in ws}
+    for level in range(config.L):
+        nxt: Dict[tuple, list] = {}
+        for key, value in state.items():
+            value = mul(value, place(N, key[0]))
+            for a_o, b_l, cnt in moves(level, key, counts):
+                nxt.setdefault(step(key, a_o, b_l), []).append(mul(value, cnt))
+        state = {key: dom.total(terms) for key, terms in nxt.items()}
+    return state
 
 
 def conditional_tse(
@@ -118,7 +183,7 @@ def conditional_tse(
     Infeasible profiles (parity, empty component classes) are a zero value,
     not an error; structurally out-of-range fields raise ``RangeError``.
     """
-    acc._check_mode(mode)
+    dom = _domain(mode)
     N = config.N
     if len(profile.levels) != config.L:
         raise RangeError(
@@ -130,73 +195,11 @@ def conditional_tse(
         if not 0 <= a_o <= N or not 0 <= b_l <= N:
             raise RangeError(f"level entry ({a_o}, {b_l}) outside [0, {N}]")
 
-    if mode == "exact":
-        value = Fraction(binomial(config.K, profile.w))
-        a_i = config.q * profile.w
-        for a_o, b_l in profile.levels:
-            cnt = _iotse_exact(N, a_i, a_o, b_l)
-            if cnt == 0:
-                return Fraction(0)
-            value *= Fraction(cnt, binomial(N, a_i))
-            a_i = a_o
-        return value
-
-    value = log_binomial(config.K, profile.w)
-    a_i = config.q * profile.w
-    for a_o, b_l in profile.levels:
-        lv = _iotse_log(N, a_i, a_o, b_l)
-        if lv == NEG_INF:
-            return NEG_INF
-        value += lv - log_binomial(N, a_i)
-        a_i = a_o
-    return value
-
-
-def _profiles(
-    config: EnsembleConfig, cls: TrappingSetClass, mode: str
-) -> Iterator[Tuple[ConditionalProfile, Value]]:
-    """Yield (profile, value) pairs in lexicographic profile order.
-
-    Levels whose component class is parity-infeasible or empty are pruned
-    before recursing.
-    """
-    N, L, q = config.N, config.L, config.q
-    exact = mode == "exact"
-    iotse = _iotse_exact if exact else _iotse_log
-    zero = 0 if exact else NEG_INF
-
-    def recurse(level: int, a_i: int, a_rem: int, b_rem: int, prefix, value):
-        if level == L:
-            if a_rem == 0 and b_rem == 0:
-                yield ConditionalProfile(w=prefix[0], levels=tuple(prefix[1:])), value
-            return
-        for a_o in range(0, min(a_rem, N - 1) + 1):
-            if level == L - 1 and a_o != a_rem:
-                continue
-            for b_l in range(0, min(b_rem, N) + 1):
-                if level == L - 1 and b_l != b_rem:
-                    continue
-                if (a_i + b_l) % 2:
-                    continue
-                cnt = iotse(N, a_i, a_o, b_l)
-                if cnt == zero:
-                    continue
-                if exact:
-                    nxt = value * Fraction(cnt, binomial(N, a_i))
-                else:
-                    nxt = value + cnt - log_binomial(N, a_i)
-                yield from recurse(
-                    level + 1,
-                    a_o,
-                    a_rem - a_o,
-                    b_rem - b_l,
-                    prefix + [(a_o, b_l)],
-                    nxt,
-                )
-
-    for w in range(0, min(config.K, cls.a) + 1):
-        base: Value = Fraction(binomial(config.K, w)) if exact else log_binomial(config.K, w)
-        yield from recurse(0, q * w, cls.a - w, cls.b, [w], base)
+    state = _forward(
+        config, dom, [profile.w],
+        lambda level, key, counts: _nonzero(counts, key[0], [profile.levels[level]]),
+    )
+    return dom.finish(dom.total(state.values()), N, config.L)
 
 
 def ensemble_tse(
@@ -205,30 +208,39 @@ def ensemble_tse(
     mode: str = "exact",
     breakdown: bool = False,
 ) -> TseResult:
-    """Ensemble-average count of (a, b) trapping sets of the full chain."""
-    acc._check_mode(mode)
+    """Ensemble-average count of (a, b) trapping sets of the full chain.
+
+    With ``breakdown`` the pass keeps every profile apart and also returns
+    them, in lexicographic profile order.
+    """
     _validate_class(config, cls)
-    _check_ceiling(config, mode, EXACT_CLASS_N_MAX if mode == "exact" else LOG_N_MAX)
+    dom = _domain_within(config, mode, EXACT_CLASS_N_MAX)
+    N, L = config.N, config.L
 
-    pairs = list(_profiles(config, cls, mode)) if breakdown else None
-    if mode == "exact":
-        if pairs is not None:
-            total: Value = sum((v for _, v in pairs), Fraction(0))
+    def moves(level: int, key: tuple, counts: _Counts):
+        # Stay inside the class; the last level takes the rest of it.
+        a_i, a_rem, b_rem = key[0], cls.a - key[1], cls.b - key[2]
+        if level == L - 1:
+            pairs = [(a_rem, b_rem)] if a_rem <= N - 1 and b_rem <= N else []
         else:
-            total = sum((v for _, v in _profiles(config, cls, mode)), Fraction(0))
-    else:
-        source = pairs if pairs is not None else _profiles(config, cls, mode)
-        total = log_sum_exp([v for _, v in source])
-    return TseResult(value=total, breakdown=pairs)
+            pairs = (
+                (a_o, b_l)
+                for a_o in range(min(a_rem, N - 1) + 1)
+                for b_l in range(a_i % 2, min(b_rem, N) + 1, 2)
+            )
+        return _nonzero(counts, a_i, pairs)
 
-
-def _component_index(N: int, mode: str) -> Dict[int, List[Tuple[int, int, Value]]]:
-    """Nonzero component classes grouped by input count a_i."""
-    table = acc.acc_iotse_table(N, mode)
-    index: Dict[int, List[Tuple[int, int, Value]]] = {}
-    for (a_i, a_o, b), cnt in sorted(table.entries.items()):
-        index.setdefault(a_i, []).append((a_o, b, cnt))
-    return index
+    state = _forward(
+        config, dom, range(min(config.K, cls.a) + 1), moves, _by_path if breakdown else _by_class
+    )
+    value = dom.finish(dom.total(state.values()), N, L)
+    if not breakdown:
+        return TseResult(value=value)
+    pairs = [
+        (ConditionalProfile(w=key[3], levels=key[4:]), dom.finish(v, N, L))
+        for key, v in state.items()
+    ]
+    return TseResult(value=value, breakdown=pairs)
 
 
 def ensemble_table(
@@ -236,53 +248,26 @@ def ensemble_table(
 ) -> Dict[Tuple[int, int], Value]:
     """All nonzero ensemble-average class counts, keyed by (a, b).
 
-    Built by a forward pass over levels carrying (next input count,
-    accumulated a, accumulated b); exact-mode results equal the per-class
-    profile sums as rationals.
+    Exact-mode results equal the per-class profile sums as rationals.
     """
-    acc._check_mode(mode)
-    exact = mode == "exact"
-    _check_ceiling(config, mode, EXACT_TABLE_N_MAX if exact else LOG_N_MAX)
+    dom = _domain_within(config, mode, EXACT_TABLE_N_MAX)
     N = config.N
-    index = _component_index(N, mode)
+    rows: Dict[int, list] = {}  # every class of the component, by a_i
 
-    # state: (a_i_next, a_acc, b_acc) -> value (exact) or list of logs
-    state: Dict[Tuple[int, int, int], object] = {}
-    for w in range(config.K + 1):
-        key = (config.q * w, w, 0)
-        if exact:
-            state[key] = state.get(key, Fraction(0)) + Fraction(binomial(config.K, w))
-        else:
-            state.setdefault(key, []).append(log_binomial(config.K, w))
+    def moves(level: int, key: tuple, counts: _Counts):
+        a_i = key[0]
+        if a_i not in rows:
+            rows[a_i] = _nonzero(counts, a_i, (
+                (a_o, b_l) for a_o in range(N) for b_l in range(a_i % 2, N + 1, 2)
+            ))
+        return rows[a_i]
 
-    for _ in range(config.L):
-        nxt: Dict[Tuple[int, int, int], object] = {}
-        for (a_i, a_acc, b_acc), val in sorted(state.items()):
-            if exact:
-                denom = binomial(N, a_i)
-            else:
-                log_denom = log_binomial(N, a_i)
-                val = log_sum_exp(val)  # collapse carried terms once per state
-            for a_o, b_l, cnt in index.get(a_i, []):
-                key = (a_o, a_acc + a_o, b_acc + b_l)
-                if exact:
-                    add = val * Fraction(cnt, denom)
-                    nxt[key] = nxt.get(key, Fraction(0)) + add
-                else:
-                    nxt.setdefault(key, []).append(val + cnt - log_denom)
-        state = nxt
-
-    out: Dict[Tuple[int, int], Value] = {}
-    if exact:
-        for (_, a_acc, b_acc), val in sorted(state.items()):
-            if val:
-                k = (a_acc, b_acc)
-                out[k] = out.get(k, Fraction(0)) + val
-        return {k: v for k, v in sorted(out.items()) if v}
-    logs: Dict[Tuple[int, int], List[float]] = {}
-    for (_, a_acc, b_acc), val in sorted(state.items()):
-        logs.setdefault((a_acc, b_acc), []).extend(val)
-    return {k: log_sum_exp(v) for k, v in sorted(logs.items())}
+    by_class: Dict[Tuple[int, int], list] = {}
+    for key, value in _forward(config, dom, range(config.K + 1), moves).items():
+        by_class.setdefault(key[1:3], []).append(value)
+    return {
+        k: dom.finish(dom.total(v), N, config.L) for k, v in sorted(by_class.items())
+    }
 
 
 def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:
@@ -291,42 +276,15 @@ def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:
     This is the all-satisfied (b_l = 0 everywhere) chain with the last
     level's output weight pinned to d, intermediate weights free.
     """
-    acc._check_mode(mode)
     if not 0 <= d <= config.N:
         raise RangeError(f"d={d} outside [0, {config.N}]")
-    _check_ceiling(config, mode, EXACT_CLASS_N_MAX if mode == "exact" else LOG_N_MAX)
-    exact = mode == "exact"
-    N = config.N
-    iotse = _iotse_exact if exact else _iotse_log
-    zero = 0 if exact else NEG_INF
+    dom = _domain_within(config, mode, EXACT_CLASS_N_MAX)
+    N, last = config.N, config.L - 1
+    free = [(a_o, 0) for a_o in range(N)]
 
-    dist: Dict[int, object] = {}
-    for w in range(config.K + 1):
-        key = config.q * w
-        if exact:
-            dist[key] = dist.get(key, Fraction(0)) + Fraction(binomial(config.K, w))
-        else:
-            dist.setdefault(key, []).append(log_binomial(config.K, w))
+    def moves(level: int, key: tuple, counts: _Counts):
+        return _nonzero(counts, key[0], [(d, 0)] if level == last else free)
 
-    for level in range(config.L):
-        last = level == config.L - 1
-        nxt: Dict[int, object] = {}
-        for a_i, val in sorted(dist.items()):
-            if not exact:
-                val = log_sum_exp(val)
-                log_denom = log_binomial(N, a_i)
-            outs = (d,) if last else range(N)
-            for a_o in outs:
-                cnt = iotse(N, a_i, a_o, 0)
-                if cnt == zero:
-                    continue
-                if exact:
-                    add = val * Fraction(cnt, binomial(N, a_i))
-                    nxt[a_o] = nxt.get(a_o, Fraction(0)) + add
-                else:
-                    nxt.setdefault(a_o, []).append(val + cnt - log_denom)
-        dist = nxt
-
-    if exact:
-        return dist.get(d, Fraction(0))
-    return log_sum_exp(dist.get(d, []))
+    # States merge by input count alone: the class (a, b) is not asked for.
+    state = _forward(config, dom, range(config.K + 1), moves, lambda k, a_o, b_l: (a_o, 0, 0))
+    return dom.finish(dom.total(state.values()), N, config.L)

@@ -9,6 +9,7 @@ from rma_tse.asymptotic import (
     AsymptoticQuery,
     SplitPolicy,
     SweepSpec,
+    _grid_resolution,
     _objective,
     f_acc,
     f_rep,
@@ -45,6 +46,44 @@ class TestSplitPolicy:
     def test_fixed_must_sum_to_one(self):
         with pytest.raises(DomainError):
             SplitPolicy.fixed((0.6, 0.6))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fixed_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            SplitPolicy.fixed((bad, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteInputs:
+    def test_shape_args(self, bad):
+        for args in ((bad, 0.1, 0.1), (0.1, bad, 0.1), (0.1, 0.1, bad)):
+            with pytest.raises(DomainError):
+                AccShapeArgs(*args)
+
+    def test_query(self, bad):
+        with pytest.raises(DomainError):
+            AsymptoticQuery(q=3, L=2, alpha=bad, beta=0.01)
+        with pytest.raises(DomainError):
+            AsymptoticQuery(q=3, L=2, alpha=0.1, beta=bad)
+
+    def test_sweep_spec(self, bad):
+        with pytest.raises(DomainError):
+            SweepSpec(delta=bad, alpha_grid=(0.1, 0.2), q=3, L=2)
+        with pytest.raises(DomainError):
+            SweepSpec(delta=0.1, alpha_grid=(0.1, bad), q=3, L=2)
+
+
+class TestGridResolution:
+    def test_default_fits_budget(self):
+        fixed = SplitPolicy.fixed
+        assert _grid_resolution(2, fixed((0.5, 0.5)), None) == 33
+        assert _grid_resolution(2, SplitPolicy.free(), None) == 33
+        assert _grid_resolution(4, fixed((1.0, 0.0, 0.0, 0.0)), None) == 27
+        assert _grid_resolution(3, SplitPolicy.free(), None) == 14
+
+    def test_explicit_points_kept(self):
+        assert _grid_resolution(4, SplitPolicy.free(), 7) == 7
+        assert _grid_resolution(2, SplitPolicy.free(), 1) == 2
 
 
 class TestFAcc:

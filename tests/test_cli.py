@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 import rma_tse.acc
+import rma_tse.cli
 from rma_tse.acc import IotseTable, acc_iotse_table
-from rma_tse.asymptotic import SplitPolicy
+from rma_tse.asymptotic import SplitPolicy, SweepSpec
 from rma_tse.cli import (
     SweepRow,
+    _run_sweep,
+    _workers,
     emit_sweep_csv,
     emit_table_json,
     parse_table_json,
@@ -69,6 +72,25 @@ class TestAsymCommands:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_asym_point_non_finite_exit_1(self, flag, bad, capsys):
+        values = {"--alpha": "0.1", "--beta": "0.01", flag: bad}
+        argv = ["asym-point", "--q", "3", "--L", "2", "--grid-points", "5"]
+        for name, value in values.items():
+            argv += [name, value]
+        assert run(argv) == 1
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--delta", "nan"], ["--delta", "0.1", "--alpha-max", "nan"]])
+    def test_asym_sweep_non_finite_exit_1(self, args, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["asym-sweep", "--q", "3", "--L", "2", "--alpha-steps", "2",
+                "--grid-points", "5", "--out", str(out)] + args
+        assert run(argv) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCsv:
     ARGS = [
@@ -109,6 +131,16 @@ class TestSweepCsv:
         monkeypatch.setenv("TSE_THREADS", "2")
         assert run(self.ARGS + ["--out", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_grid_metadata_reports_reduced_resolution(self, tmp_path, monkeypatch):
+        # Skip the optimizer: only the metadata line is under test here.
+        monkeypatch.setattr(rma_tse.cli, "_run_sweep", lambda spec: [])
+        out = tmp_path / "l4.csv"
+        assert run([
+            "asym-sweep", "--q", "3", "--L", "4", "--delta", "0.1", "--alpha-steps", "2",
+            "--split", "fixed:1,0,0,0", "--out", str(out),
+        ]) == 0
+        assert out.read_text().splitlines()[0].endswith(" grid=27")
 
     def test_r_clamped_column(self, tmp_path):
         rows = [SweepRow(0.01, 0.0, -0.5, 0.0, 0.0, (((0.0), 0.0, 0.0, 0.0),) * 2)]
@@ -264,3 +296,65 @@ class TestPresets:
         for spec, name in fig7:
             assert spec.split.fractions[0] == 1.0
             assert name.endswith(".csv")
+
+
+class TestWorkerCount:
+    """The sweep worker cap, checked without starting any process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(rma_tse.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(rma_tse.cli, "_sweep_one", lambda job: job[1])
+        monkeypatch.setattr(rma_tse.cli, "sweep", lambda spec: list(spec.alpha_grid))
+        return created
+
+    @staticmethod
+    def spec(n_alphas):
+        grid = tuple(0.01 * (i + 1) for i in range(n_alphas))
+        return SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=2)
+
+    def test_capped_by_cpus(self, monkeypatch):
+        monkeypatch.setenv("TSE_THREADS", "100000")
+        monkeypatch.setattr(rma_tse.cli.os, "cpu_count", lambda: 4)
+        assert _workers(30) == 4
+        monkeypatch.setattr(rma_tse.cli.os, "cpu_count", lambda: None)
+        assert _workers(30) == 1
+
+    def test_capped_by_jobs(self, monkeypatch, pools):
+        monkeypatch.setenv("TSE_THREADS", "100000")
+        monkeypatch.setattr(rma_tse.cli.os, "cpu_count", lambda: 64)
+        assert _workers(3) == 3
+        assert _run_sweep(self.spec(3)) == list(self.spec(3).alpha_grid)
+        assert pools == [3]
+
+    def test_single_job_runs_in_process(self, monkeypatch, pools):
+        monkeypatch.setenv("TSE_THREADS", "8")
+        monkeypatch.setattr(rma_tse.cli.os, "cpu_count", lambda: 8)
+        assert _run_sweep(self.spec(1)) == [0.01]
+        assert pools == []
+
+    def test_bad_value_warns_and_uses_one(self, monkeypatch, capsys, pools):
+        monkeypatch.setenv("TSE_THREADS", "lots")
+        assert _run_sweep(self.spec(4)) == list(self.spec(4).alpha_grid)
+        assert pools == []
+        assert "TSE_THREADS='lots'" in capsys.readouterr().err
+
+    def test_nonpositive_means_one(self, monkeypatch):
+        for raw in ("0", "-3"):
+            monkeypatch.setenv("TSE_THREADS", raw)
+            assert _workers(10) == 1

@@ -19,6 +19,20 @@ from rma_tse.oracles import encode, graph_ensemble_average
 
 CFG_L1 = EnsembleConfig(q=2, K=2, L=1)
 CFG_L2 = EnsembleConfig(q=2, K=2, L=2)
+# Small chains beyond q=2, L=2: more repetition, three levels, q=1.
+MORE_CFGS = (
+    EnsembleConfig(q=3, K=2, L=2),
+    EnsembleConfig(q=2, K=2, L=3),
+    EnsembleConfig(q=1, K=3, L=3),
+)
+
+
+def assert_log_close(log_value, exact):
+    """A log-mode value agrees with an exact one within 1e-8 relative."""
+    if exact == 0:
+        assert log_value == -math.inf
+    else:
+        assert abs(math.exp(log_value - math.log(exact)) - 1.0) <= 1e-8
 
 
 class TestEnsembleConfig:
@@ -77,6 +91,29 @@ class TestEnsembleTse:
         with pytest.raises(ResourceLimitError):
             ensemble_tse(big, TrappingSetClass(1, 2))
 
+    def test_breakdown_value_matches_plain_query(self):
+        for cfg in (CFG_L2,) + MORE_CFGS:
+            for a in range(cfg.a_max + 1):
+                for b in range(0, cfg.b_max + 1, 3):
+                    cls = TrappingSetClass(a, b)
+                    for mode in ("exact", "log"):
+                        plain = ensemble_tse(cfg, cls, mode).value
+                        res = ensemble_tse(cfg, cls, mode, breakdown=True)
+                        if mode == "exact":
+                            assert res.value == plain
+                            assert sum((v for _, v in res.breakdown), Fraction(0)) == plain
+                        else:
+                            assert_log_close(res.value, math.exp(plain))
+
+    def test_log_mode_matches_exact(self):
+        for cfg in (CFG_L2,) + MORE_CFGS:
+            for a in range(cfg.a_max + 1):
+                for b in range(cfg.b_max + 1):
+                    cls = TrappingSetClass(a, b)
+                    assert_log_close(
+                        ensemble_tse(cfg, cls, "log").value, ensemble_tse(cfg, cls).value
+                    )
+
     def test_denominator_divides_placement_products(self):
         res = ensemble_tse(CFG_L2, TrappingSetClass(3, 2), breakdown=True)
         lcm = 1
@@ -99,21 +136,22 @@ class TestEnsembleTable:
         assert ensemble_table(CFG_L2)[(0, 0)] == 1
 
     def test_matches_per_class_queries(self):
-        table = ensemble_table(CFG_L2)
-        for (a, b), value in table.items():
-            assert ensemble_tse(CFG_L2, TrappingSetClass(a, b)).value == value
-        # absent keys really are zero
-        for a in range(CFG_L2.a_max + 1):
-            for b in range(CFG_L2.b_max + 1):
-                if (a, b) not in table:
-                    assert ensemble_tse(CFG_L2, TrappingSetClass(a, b)).value == 0
+        for cfg in (CFG_L2,) + MORE_CFGS:
+            table = ensemble_table(cfg)
+            for (a, b), value in table.items():
+                assert ensemble_tse(cfg, TrappingSetClass(a, b)).value == value
+            # absent keys really are zero
+            for a in range(cfg.a_max + 1):
+                for b in range(cfg.b_max + 1):
+                    if (a, b) not in table:
+                        assert ensemble_tse(cfg, TrappingSetClass(a, b)).value == 0
 
     def test_matches_graph_oracle(self):
         for cfg in (CFG_L1, CFG_L2):
             assert ensemble_table(cfg) == graph_ensemble_average(cfg)
 
     def test_mode_agreement(self):
-        for cfg in (CFG_L2, EnsembleConfig(q=3, K=2, L=2)):
+        for cfg in (CFG_L2,) + MORE_CFGS:
             exact = ensemble_table(cfg, "exact")
             logs = ensemble_table(cfg, "log")
             assert set(exact) == set(logs)
@@ -173,3 +211,19 @@ class TestEnsembleIowe:
     def test_log_mode(self):
         lv = ensemble_iowe(CFG_L1, 2, "log")
         assert lv == pytest.approx(math.log(5 / 3), abs=1e-10)
+
+    def test_log_mode_matches_exact(self):
+        for cfg in (CFG_L1, CFG_L2) + MORE_CFGS + (EnsembleConfig(q=2, K=16, L=2),):
+            for d in range(cfg.N + 1):
+                assert_log_close(ensemble_iowe(cfg, d, "log"), ensemble_iowe(cfg, d))
+
+    def test_more_levels_match_b0_profiles(self):
+        for cfg in MORE_CFGS:
+            totals = {}
+            for a in range(cfg.a_max + 1):
+                res = ensemble_tse(cfg, TrappingSetClass(a, 0), breakdown=True)
+                for profile, value in res.breakdown:
+                    d = profile.levels[-1][0]
+                    totals[d] = totals.get(d, Fraction(0)) + value
+            for d in range(cfg.N + 1):
+                assert ensemble_iowe(cfg, d) == totals.get(d, 0)
