@@ -16,11 +16,12 @@ alpha_i_l = alpha_o_{l-1}.
 perspectives over normalized type-2/type-1 event fractions (mu, nu).  The
 objective is concave in (mu, nu) (sum of perspectives of a concave
 function), the nu-maximization has a closed-form stationary point, and the
-remaining one-dimensional problem in mu is solved by golden-section search,
-so the inner optimum is certified.  The outer problem is low-dimensional
-and is searched by a deterministic coarse grid followed by Nelder-Mead
-refinement from the best seeds; it is reproducible but not certified
-globally optimal.
+stationarity condition of the remaining one-dimensional problem in mu is a
+cubic whose real roots, with the interval ends, contain the maximizer, so
+the inner optimum is found in closed form and certified.  The outer problem
+is low-dimensional and is searched by a deterministic coarse grid followed
+by Nelder-Mead refinement from the best seeds; it is reproducible but not
+certified globally optimal.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import entr
 
 from .combinatorics import NEG_INF, DomainError, binary_entropy
 
@@ -50,7 +52,6 @@ __all__ = [
     "DEFAULT_GRID_POINTS",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FEAS_TOL = 1e-9   # slack for boundary arithmetic on gridded candidates
 _PIN_TOL = 1e-12   # slack for exactly-pinned quantities
 
@@ -58,6 +59,10 @@ DEFAULT_GRID_POINTS = 33
 # The coarse stage caps its total candidate count; per-dimension resolution
 # is reduced below DEFAULT_GRID_POINTS only when the dimension count forces it.
 _GRID_BUDGET = 600_000
+# Rows of the coarse grid per inner solve: bounds the memory of its
+# per-root arrays without giving up vectorization.
+_GRID_BLOCK = 512
+_N_SEEDS = 8   # best grid points refined by Nelder-Mead
 
 
 @dataclass(frozen=True)
@@ -220,227 +225,174 @@ def f_rep(omega: float, q: int) -> float:
 # Inner problem: one accumulator level
 # ---------------------------------------------------------------------------
 
-def _term(t: float, s: float) -> Optional[float]:
-    """Entropy perspective t*H(s/t); None marks an infeasible combination.
+def _entropy(x):
+    """Binary entropy elementwise on [0, 1]."""
+    return entr(x) + entr(1.0 - x)
+
+
+def _term(t, s):
+    """Entropy perspectives t*H(s/t) elementwise; NEG_INF marks an infeasible pair.
 
     t = 0 forces s = 0 (value 0); s is clipped into [0, t] within tolerance.
     """
-    if t < -_FEAS_TOL or s < -_FEAS_TOL or s > t + _FEAS_TOL:
-        return None
-    if t <= _PIN_TOL:
-        return 0.0 if abs(s) <= _FEAS_TOL else None
-    ratio = min(max(s / t, 0.0), 1.0)
-    return t * binary_entropy(ratio)
+    pos = t > _PIN_TOL
+    bad = (t < -_FEAS_TOL) | (s < -_FEAS_TOL) | (s > t + _FEAS_TOL)
+    bad |= ~pos & (np.abs(s) > _FEAS_TOL)
+    ratio = np.minimum(np.maximum(s / np.where(pos, t, math.inf), 0.0), 1.0)
+    return np.where(bad, NEG_INF, t * _entropy(ratio))
 
 
-def _objective(ai: float, ao: float, b: float, mu: float, nu: float) -> float:
-    """The five-term entropy objective at one (mu, nu); NEG_INF if infeasible."""
+def _objective(ai, ao, b, mu, nu):
+    """The five-term entropy objective elementwise; NEG_INF where infeasible."""
     half = 0.5 * (ai + b)
-    parts = (
-        _term(1.0 - ao, mu),
-        _term(ao, mu),
-        _term(ao - mu, half - nu - mu),
-        _term(1.0 - ao - mu, nu),
-        _term(2.0 * mu, 0.5 * (ai - b) + mu),
-    )
-    total = 0.0
-    for p in parts:
-        if p is None:
-            return NEG_INF
-        total += p
-    return total
+    # The five (t, s) pairs stacked on a leading axis: one _term call for all.
+    shape = (5,) + np.broadcast(ai, ao, b, mu, nu).shape
+    t, s = np.empty(shape), np.empty(shape)
+    t[0], s[0] = 1.0 - ao, mu
+    t[1], s[1] = ao, mu
+    t[2], s[2] = ao - mu, half - nu - mu
+    t[3], s[3] = 1.0 - ao - mu, nu
+    t[4], s[4] = 2.0 * mu, 0.5 * (ai - b) + mu
+    return _term(t, s).sum(axis=0)
 
 
-def _mu_bounds(ai: float, ao: float, b: float) -> Tuple[float, float]:
-    """Feasible mu interval (may be empty: lo > hi).
+def _mu_bounds(ai, ao, b):
+    """Feasible mu interval elementwise (may be empty: lo > hi).
 
     Besides the direct bounds, mu must leave the nu interval nonempty:
     nu_lo <= min(1 - ao - mu, (ai+b)/2 - mu).
     """
-    lo = max(abs(ai - b) * 0.5, 0.0)
-    nu_lo = max(0.0, 0.5 * (ai + b) - ao)
-    hi = min(ao, 1.0 - ao, min(1.0 - ao, 0.5 * (ai + b)) - nu_lo)
-    return lo, hi
+    half = 0.5 * (ai + b)
+    nu_lo = np.maximum(0.0, half - ao)
+    hi = np.minimum(np.minimum(ao, 1.0 - ao), np.minimum(1.0 - ao, half) - nu_lo)
+    return np.abs(ai - b) * 0.5, hi
 
 
-def _nu_bounds(ai: float, ao: float, b: float, mu: float) -> Tuple[float, float]:
-    lo = max(0.0, 0.5 * (ai + b) - ao)
-    hi = min(1.0 - ao - mu, 0.5 * (ai + b) - mu)
-    return lo, hi
+def _nu(ai, ao, b, mu):
+    """The nu-maximum at fixed mu, elementwise.
 
-
-def _nu_star(ai: float, ao: float, b: float, mu: float) -> float:
-    """Unconstrained stationary nu of the two nu-dependent terms.
-
-    Setting the nu-derivative of (ao-mu)H(...) + (1-ao-mu)H(nu/(1-ao-mu))
-    to zero equates the two inner ratios, giving
-    nu* = (1-ao-mu)(ai+b-2mu) / (2(1-2mu)).
+    Setting the nu-derivative of the two nu-dependent terms to zero equates
+    their inner ratios: nu* = (1-ao-mu)(h-mu)/(1-2mu) with h = (ai+b)/2.
+    On the feasible mu interval nu* - (h-ao) = (ao-mu)(1-h-mu)/(1-2mu) >= 0
+    and nu* <= min(1-ao-mu, h-mu), so the clamp into the nu bounds only
+    absorbs rounding and the tolerance on the mu interval.
     """
-    denom = 2.0 * (1.0 - 2.0 * mu)
-    if denom <= _PIN_TOL:
-        return 0.0
-    return (1.0 - ao - mu) * (ai + b - 2.0 * mu) / denom
+    half = 0.5 * (ai + b)
+    denom = 1.0 - 2.0 * mu
+    usable = denom > _PIN_TOL
+    star = np.where(usable, (1.0 - ao - mu) * (half - mu) / np.where(usable, denom, 1.0), 0.0)
+    lo = np.maximum(0.0, half - ao)
+    hi = np.maximum(np.minimum(1.0 - ao - mu, half - mu), lo)
+    return np.minimum(np.maximum(star, lo), hi)
 
 
-def _best_nu(ai: float, ao: float, b: float, mu: float) -> Tuple[float, float]:
-    """Exact nu-maximum at fixed mu (stationary point clamped to the box)."""
-    lo, hi = _nu_bounds(ai, ao, b, mu)
+def _inner(ai, ao, b):
+    """Inner optimum (mu, nu, value) elementwise over arrays of one shape.
+
+    With nu at its maximum the objective g(mu) is strictly concave on the
+    feasible interval [lo, hi], and g' is +inf at lo and -inf at hi.  Its
+    stationarity condition, with h = (ai+b)/2 and d = (ai-b)/2,
+    4(h-mu)(1-h-mu)(ao-mu)(1-ao-mu) = (mu^2-d^2)(1-2mu)^2, loses its quartic
+    terms: it is the cubic -4mu^3 + (4m+3)mu^2 - 4m mu + 4ps + d^2 = 0 with
+    p = h(1-h), s = ao(1-ao) and m = p + s + d^2, which has exactly one root
+    in [lo, hi].  The best of the three roots (real parts, clipped into
+    the interval) and the two endpoints is therefore the maximum, also when
+    the interval is one point.  Where the interval is empty the value is
+    NEG_INF and mu, nu are NaN.
+    """
+    ai, ao, b = (np.asarray(v, dtype=float) for v in (ai, ao, b))
+    lo, hi = _mu_bounds(ai, ao, b)
+    feasible = lo <= hi + _FEAS_TOL
+    hi = np.maximum(hi, lo)
+    h, d = 0.5 * (ai + b), 0.5 * (ai - b)
+    p, s = h * (1.0 - h), ao * (1.0 - ao)
+    m = p + s + d * d
+    # The cubic's roots are the eigenvalues of its companion matrix.  The
+    # balanced eigensolver keeps small roots accurate relative to their size;
+    # Cardano's formula does not when two roots cluster near 0 (small ai, ao
+    # and b), where the maximizer then is one of them.
+    companion = np.zeros(m.shape + (3, 3))
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    companion[..., 0, 2] = p * s + 0.25 * d * d
+    companion[..., 1, 2] = -m
+    companion[..., 2, 2] = m + 0.75
+    roots = np.linalg.eigvals(companion).real
+    lo, hi = lo[..., None], hi[..., None]
+    roots = np.minimum(np.maximum(roots, lo), hi)
+    mu = np.concatenate([roots, lo, hi], axis=-1)
+    args = ai[..., None], ao[..., None], b[..., None]
+    nu = _nu(*args, mu)
+    value = _objective(*args, mu, nu)
+    best = np.argmax(value, axis=-1)[..., None] == np.arange(mu.shape[-1])
+    return (
+        np.where(feasible, (mu * best).sum(axis=-1), math.nan),
+        np.where(feasible, (nu * best).sum(axis=-1), math.nan),
+        np.where(feasible, value.max(axis=-1), NEG_INF),
+    )
+
+
+def _inner_from(ai: float, ao: float, b: float, mu: float) -> InnerOptimum:
+    """Inner optimum by a bracketed Newton iteration on g'(mu) from ``mu``.
+
+    At nu's maximum, g'(mu) = ln[4(h-nu-mu)(1-ao-mu-nu)/(mu^2-d^2)] is
+    decreasing, +inf at the lower end of the feasible interval and -inf at
+    the upper end, so the interval brackets its root; a Newton step that
+    leaves the current bracket is replaced by bisection.
+    """
+    lo, hi = _mu_bounds(ai, ao, b)
     if lo > hi + _FEAS_TOL:
-        return math.nan, NEG_INF
+        return InnerOptimum(math.nan, math.nan, NEG_INF)
     hi = max(hi, lo)
-    nu = min(max(_nu_star(ai, ao, b, mu), lo), hi)
-    return nu, _objective(ai, ao, b, mu, nu)
+    h, d = 0.5 * (ai + b), 0.5 * (ai - b)
 
+    def slope(m):
+        nu = _nu(ai, ao, b, m)
+        return np.log(4.0 * (h - nu - m) * (1.0 - ao - m - nu)) - np.log(m * m - d * d)
 
-def _golden_max(g, lo: float, hi: float, tol: float = 1e-13) -> Tuple[float, float]:
-    """Golden-section maximization of a concave g on [lo, hi]."""
-    if hi - lo <= tol:
-        x = 0.5 * (lo + hi)
-        return x, g(x)
-    a, c = lo, hi
-    x1 = c - _GOLDEN * (c - a)
-    x2 = a + _GOLDEN * (c - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(200):
-        if c - a <= tol:
-            break
-        if f1 >= f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - _GOLDEN * (c - a)
-            f1 = g(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (c - a)
-            f2 = g(x2)
-    candidates = [(x1, f1), (x2, f2), (lo, g(lo)), (hi, g(hi))]
-    return max(candidates, key=lambda p: p[1])
-
-
-def _facc_scalar(ai: float, ao: float, b: float) -> InnerOptimum:
-    mu_lo, mu_hi = _mu_bounds(ai, ao, b)
-    if mu_lo > mu_hi + _FEAS_TOL:
-        return InnerOptimum(math.nan, math.nan, NEG_INF)
-    mu_hi = max(mu_hi, mu_lo)
-    mu, _ = _golden_max(lambda m: _best_nu(ai, ao, b, m)[1], mu_lo, mu_hi)
-    nu, value = _best_nu(ai, ao, b, mu)
-    return InnerOptimum(mu, nu, value)
-
-
-def _facc_from_start(
-    ai: float, ao: float, b: float, start: Tuple[float, float]
-) -> InnerOptimum:
-    """Alternating projected line searches (golden section per axis).
-
-    Converges to the same optimum as the direct path: the objective is
-    concave with maximum in the relative interior, so coordinate ascent
-    cannot stall at a corner.
-    """
-    mu_lo, mu_hi = _mu_bounds(ai, ao, b)
-    if mu_lo > mu_hi + _FEAS_TOL:
-        return InnerOptimum(math.nan, math.nan, NEG_INF)
-    mu_hi = max(mu_hi, mu_lo)
-    mu = min(max(start[0], mu_lo), mu_hi)
-    nu_lo, nu_hi = _nu_bounds(ai, ao, b, mu)
-    nu = min(max(start[1], nu_lo), max(nu_hi, nu_lo))
-    best = _objective(ai, ao, b, mu, nu)
-    for _ in range(200):
-        nu_lo, nu_hi = _nu_bounds(ai, ao, b, mu)
-        nu, _ = _golden_max(
-            lambda y: _objective(ai, ao, b, mu, y), nu_lo, max(nu_hi, nu_lo)
+    def curvature(m):
+        return (
+            4.0 / (1.0 - 2.0 * m) - 2.0 * m / (m * m - d * d)
+            - 1.0 / (ao - m) - 1.0 / (1.0 - ao - m) - 1.0 / (h - m) - 1.0 / (1.0 - h - m)
         )
-        # mu interval at fixed nu: the direct bounds plus room for nu itself.
-        lo = mu_lo
-        hi = min(mu_hi, 1.0 - ao - nu, 0.5 * (ai + b) - nu)
-        mu, value = _golden_max(
-            lambda x: _objective(ai, ao, b, x, nu), lo, max(hi, lo)
-        )
-        if value <= best + 1e-14:
-            best = max(best, value)
-            break
-        best = value
-    return InnerOptimum(mu, nu, best)
+
+    below, above = lo, hi
+    mu = np.clip(np.float64(mu), lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            s = slope(mu)
+            if s > 0.0:
+                below = mu
+            elif s < 0.0:
+                above = mu
+            else:  # the root, or NaN on a one-point interval
+                break
+            step = mu - s / curvature(mu)
+            if not below < step < above:
+                step = 0.5 * (below + above)
+            done = abs(step - mu) <= 1e-15 * step
+            mu = step
+            if done:
+                break
+    nu = _nu(ai, ao, b, mu)
+    return InnerOptimum(float(mu), float(nu), float(_objective(ai, ao, b, mu, nu)))
 
 
 def f_acc(args: AccShapeArgs, start: Optional[Tuple[float, float]] = None) -> InnerOptimum:
     """Supremum of the accumulator shape objective over feasible (mu, nu).
 
-    The default path pins nu to its closed-form conditional maximum and runs
-    golden-section on mu.  Passing ``start`` instead runs alternating
-    per-axis golden-section ascent from that point; any feasible start
-    reaches the same value (the maximum of a concave function is unique).
-    Returns value NEG_INF when the feasible polytope is empty.
+    nu is pinned to its closed-form maximum at each mu.  The default path
+    takes mu from the real roots of the cubic stationarity condition in mu.
+    Passing ``start`` instead runs a bracketed Newton iteration on the
+    derivative in mu from ``start[0]``, clamped into the feasible interval
+    (nu follows mu, so ``start[1]`` is not used); any start reaches the same
+    value, as the objective is strictly concave in mu.  Returns value
+    NEG_INF when the feasible polytope is empty.
     """
-    if start is None:
-        return _facc_scalar(args.alpha_i, args.alpha_o, args.beta)
-    return _facc_from_start(args.alpha_i, args.alpha_o, args.beta, start)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized inner solve for the coarse outer grid
-# ---------------------------------------------------------------------------
-
-def _entropy_arr(x: np.ndarray) -> np.ndarray:
-    inside = (x > 0.0) & (x < 1.0)
-    safe = np.where(inside, x, 0.5)
-    return np.where(inside, -safe * np.log(safe) - (1 - safe) * np.log(1 - safe), 0.0)
-
-
-def _term_arr(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    bad = (t < -_FEAS_TOL) | (s < -_FEAS_TOL) | (s > t + _FEAS_TOL)
-    pos = t > _PIN_TOL
-    ratio = np.clip(np.where(pos, s, 0.0) / np.where(pos, t, 1.0), 0.0, 1.0)
-    val = np.where(pos, t * _entropy_arr(ratio), 0.0)
-    return np.where(bad, NEG_INF, val)
-
-
-def _objective_arr(ai, ao, b, mu, nu) -> np.ndarray:
-    half = 0.5 * (ai + b)
-    return (
-        _term_arr(1.0 - ao, mu)
-        + _term_arr(ao, mu)
-        + _term_arr(ao - mu, half - nu - mu)
-        + _term_arr(1.0 - ao - mu, nu)
-        + _term_arr(2.0 * mu, 0.5 * (ai - b) + mu)
-    )
-
-
-def _g_arr(ai, ao, b, mu) -> np.ndarray:
-    """Objective at the conditional nu-optimum, vectorized over levels."""
-    nu_lo = np.maximum(0.0, 0.5 * (ai + b) - ao)
-    nu_hi = np.maximum(np.minimum(1.0 - ao - mu, 0.5 * (ai + b) - mu), nu_lo)
-    denom = 2.0 * (1.0 - 2.0 * mu)
-    star = np.where(
-        denom > _PIN_TOL,
-        (1.0 - ao - mu) * (ai + b - 2.0 * mu) / np.where(denom > _PIN_TOL, denom, 1.0),
-        0.0,
-    )
-    nu = np.clip(star, nu_lo, nu_hi)
-    return _objective_arr(ai, ao, b, mu, nu)
-
-
-def _facc_batch(ai: np.ndarray, ao: np.ndarray, b: np.ndarray, iters: int = 55) -> np.ndarray:
-    """Inner supremum per element; NEG_INF where the polytope is empty."""
-    mu_lo = np.maximum(np.abs(ai - b) * 0.5, 0.0)
-    nu_lo = np.maximum(0.0, 0.5 * (ai + b) - ao)
-    mu_hi = np.minimum(
-        np.minimum(ao, 1.0 - ao), np.minimum(1.0 - ao, 0.5 * (ai + b)) - nu_lo
-    )
-    feasible = mu_lo <= mu_hi + _FEAS_TOL
-    lo = np.where(feasible, mu_lo, 0.0)
-    hi = np.where(feasible, np.maximum(mu_hi, mu_lo), 0.0)
-    for _ in range(iters):
-        d = hi - lo
-        x1 = hi - _GOLDEN * d
-        x2 = lo + _GOLDEN * d
-        f1 = _g_arr(ai, ao, b, x1)
-        f2 = _g_arr(ai, ao, b, x2)
-        keep_low = f1 >= f2
-        hi = np.where(keep_low, x2, hi)
-        lo = np.where(keep_low, lo, x1)
-    mid = 0.5 * (lo + hi)
-    val = np.maximum(_g_arr(ai, ao, b, mid), np.maximum(_g_arr(ai, ao, b, mu_lo),
-                                                        _g_arr(ai, ao, b, np.maximum(mu_hi, mu_lo))))
-    return np.where(feasible, val, NEG_INF)
+    ai, ao, b = args.alpha_i, args.alpha_o, args.beta
+    if start is not None:
+        return _inner_from(ai, ao, b, start[0])
+    mu, nu, value = _inner(ai, ao, b)
+    return InnerOptimum(float(mu), float(nu), float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -469,59 +421,62 @@ def _grid_axis(upper: float, g: int) -> np.ndarray:
     return np.linspace(0.0, upper, g)
 
 
-def _unpack(query: AsymptoticQuery, x: Sequence[float]):
-    """Free vector -> (omega, alpha_o per level, beta per level) or None.
+def _unpack(query: AsymptoticQuery, x: np.ndarray):
+    """Free vectors (rows of ``x``) -> (omega, alpha_o, betas, ok, violation).
 
-    The last level's output share and check share are pinned by the
-    constraints; small negative residuals are clamped, larger ones mean the
-    candidate is infeasible.
+    ``alpha_o`` and ``betas`` hold one column per level.  The last level's
+    output share and check share are pinned by the constraints and clamped
+    into [0, 1]; a row is infeasible (``ok`` false) when a pinned share
+    leaves that range by more than the tolerance, a check share exceeds 1 or
+    omega leaves [0, 1].  ``violation`` is how far the pinned shares fall
+    below zero.
     """
     q, L, alpha, beta = query.q, query.L, query.alpha, query.beta
-    omega = float(x[0])
-    alpha_o = [float(v) for v in x[1:L]]
-    last_ao = alpha - omega / q - sum(alpha_o)
-    if last_ao < -_FEAS_TOL or last_ao > 1.0 + _FEAS_TOL:
-        return None
-    alpha_o.append(min(max(last_ao, 0.0), 1.0))
+    omega = x[:, 0]
+    last_ao = alpha - omega / q - x[:, 1:L].sum(axis=1)
     if query.split.is_free:
-        betas = [float(v) for v in x[L:]]
-        last_b = beta - sum(betas)
-        if last_b < -_FEAS_TOL:
-            return None
-        betas.append(max(last_b, 0.0))
+        last_b = beta - x[:, L:].sum(axis=1)
+        betas = np.column_stack([x[:, L:], last_b])
     else:
-        betas = [f * beta for f in query.split.fractions]
-    if any(v > 1.0 + _FEAS_TOL for v in betas):
-        return None
-    betas = [min(max(v, 0.0), 1.0) for v in betas]
-    return omega, alpha_o, betas
+        betas = np.broadcast_to(np.asarray(query.split.fractions) * beta, (x.shape[0], L))
+        last_b = betas[:, -1]
+    ok = (
+        (omega >= 0.0)
+        & (omega <= 1.0)
+        & (last_ao >= -_FEAS_TOL)
+        & (last_ao <= 1.0 + _FEAS_TOL)
+        & (last_b >= -_FEAS_TOL)
+        & np.all(betas <= 1.0 + _FEAS_TOL, axis=1)
+    )
+    alpha_o = np.column_stack([x[:, 1:L], np.clip(last_ao, 0.0, 1.0)])
+    violation = np.maximum(-last_ao, 0.0) + np.maximum(-last_b, 0.0)
+    return omega, alpha_o, np.clip(betas, 0.0, 1.0), ok, violation
 
 
-def _eval_candidate(query: AsymptoticQuery, x: Sequence[float]):
-    """Scalar objective with per-level inner optima; (value, inner list)."""
-    unpacked = _unpack(query, x)
-    if unpacked is None:
-        return NEG_INF, None
-    omega, alpha_o, betas = unpacked
-    if omega < 0.0 or omega > 1.0:
-        return NEG_INF, None
-    total = f_rep(omega, query.q) - binary_entropy(omega)
-    inners: List[InnerOptimum] = []
-    a_in = omega
-    for level in range(query.L):
-        inner = _facc_scalar(a_in, alpha_o[level], betas[level])
-        if not inner.feasible:
-            return NEG_INF, None
-        inners.append(inner)
-        total += inner.value
-        if level < query.L - 1:
-            total -= binary_entropy(alpha_o[level])
-        a_in = alpha_o[level]
-    return total, inners
+def _eval_candidate(query: AsymptoticQuery, x: np.ndarray):
+    """Outer objective of each free vector (row of ``x``); NEG_INF if infeasible.
+
+    Returns (values, levels, violation): ``levels`` is (omega, alpha_o,
+    betas, mu, nu) with one column per level for all but omega, and
+    ``violation`` is as in ``_unpack``.  One inner solve covers every level
+    of every row.
+    """
+    omega, alpha_o, betas, ok, violation = _unpack(query, x)
+    mu, nu, inner = _inner(np.column_stack([omega, alpha_o[:, :-1]]), alpha_o, betas)
+    h_omega = _entropy(omega)
+    values = (
+        h_omega / query.q - h_omega + inner.sum(axis=1) - _entropy(alpha_o[:, :-1]).sum(axis=1)
+    )
+    return np.where(ok, values, NEG_INF), (omega, alpha_o, betas, mu, nu), violation
 
 
 def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
-    """Deterministic coarse grid; returns candidate matrix and values."""
+    """Deterministic coarse grid; returns candidate matrix and values.
+
+    The grid is evaluated ``_GRID_BLOCK`` rows at a time, and only the
+    feasible rows of a block reach the inner solve; this bounds the memory
+    that its per-root arrays take.
+    """
     q, L, alpha, beta = query.q, query.L, query.alpha, query.beta
     g = _grid_resolution(L, query.split, grid_points)
     axes = [_grid_axis(min(1.0, q * alpha), g)]
@@ -531,41 +486,11 @@ def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
     mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
     cand = np.stack([m.ravel() for m in mesh], axis=1)
 
-    omega = cand[:, 0]
-    alpha_o_partial = cand[:, 1:L]
-    last_ao = alpha - omega / q - alpha_o_partial.sum(axis=1)
-    if query.split.is_free:
-        beta_partial = cand[:, L:]
-        last_b = beta - beta_partial.sum(axis=1)
-    else:
-        fr = np.asarray(query.split.fractions)
-        beta_partial = np.broadcast_to(fr[: L - 1] * beta, (cand.shape[0], L - 1))
-        last_b = np.full(cand.shape[0], fr[-1] * beta)
-
-    ok = (
-        (last_ao >= -_FEAS_TOL)
-        & (last_ao <= 1.0 + _FEAS_TOL)
-        & (last_b >= -_FEAS_TOL)
-        & (last_b <= 1.0 + _FEAS_TOL)
-    )
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:
-        return cand, np.full(cand.shape[0], NEG_INF)
-
-    omega_f = omega[idx]
-    ao_full = np.column_stack([alpha_o_partial[idx], np.clip(last_ao[idx], 0.0, 1.0)])
-    b_full = np.column_stack([beta_partial[idx], np.clip(last_b[idx], 0.0, 1.0)])
-
-    total = _entropy_arr(omega_f) / q - _entropy_arr(omega_f)
-    a_in = omega_f
-    for level in range(L):
-        total = total + _facc_batch(a_in, ao_full[:, level], b_full[:, level])
-        if level < L - 1:
-            total = total - _entropy_arr(ao_full[:, level])
-        a_in = ao_full[:, level]
-
     values = np.full(cand.shape[0], NEG_INF)
-    values[idx] = total
+    for start in range(0, cand.shape[0], _GRID_BLOCK):
+        block = cand[start : start + _GRID_BLOCK]
+        ok = _unpack(query, block)[3]
+        values[start : start + _GRID_BLOCK][ok] = _eval_candidate(query, block[ok])[0]
     return cand, values
 
 
@@ -578,20 +503,11 @@ def _refine(query: AsymptoticQuery, x0: np.ndarray) -> Tuple[np.ndarray, float]:
         bounds += [(0.0, beta)] * (L - 1)
 
     def neg(x):
-        value, _ = _eval_candidate(query, x)
-        if value == NEG_INF:
+        values, _, violation = _eval_candidate(query, x[None, :])
+        if values[0] == NEG_INF:
             # Finite penalty sloped toward feasibility keeps the simplex alive.
-            unpacked_violation = 0.0
-            omega = x[0]
-            last_ao = alpha - omega / q - sum(x[1:L])
-            if last_ao < 0:
-                unpacked_violation += -last_ao
-            if query.split.is_free:
-                last_b = beta - sum(x[L:])
-                if last_b < 0:
-                    unpacked_violation += -last_b
-            return 10.0 + 100.0 * unpacked_violation
-        return -value
+            return 10.0 + 100.0 * violation[0]
+        return -values[0]
 
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -607,21 +523,17 @@ def _refine(query: AsymptoticQuery, x0: np.ndarray) -> Tuple[np.ndarray, float]:
     return res.x, -res.fun
 
 
-def r_point(
-    query: AsymptoticQuery,
-    grid_points: Optional[int] = None,
-    n_seeds: int = 8,
-) -> AsymptoticPoint:
+def r_point(query: AsymptoticQuery, grid_points: Optional[int] = None) -> AsymptoticPoint:
     """Spectral-shape value r(alpha, beta) with its maximizing witness.
 
     Coarse grid (``grid_points`` per free dimension, default 33, reduced
     automatically when the dimension count would exceed the grid budget)
-    followed by Nelder-Mead refinement from the best ``n_seeds`` seeds.
+    followed by Nelder-Mead refinement from the best ``_N_SEEDS`` seeds.
     Infeasible queries return r = NEG_INF with no witness.
     """
     cand, values = _grid_stage(query, grid_points)
     order = np.argsort(-values, kind="stable")
-    seeds = [cand[i] for i in order[:n_seeds] if values[i] > NEG_INF]
+    seeds = [cand[i] for i in order[:_N_SEEDS] if values[i] > NEG_INF]
     if not seeds:
         return AsymptoticPoint(query.alpha, query.beta, NEG_INF, None)
 
@@ -634,21 +546,25 @@ def r_point(
     if best_x is None or best_v == NEG_INF:
         best_x = np.asarray(seeds[0], dtype=float)
 
-    value, inners = _eval_candidate(query, best_x)
-    if inners is None:
+    values, (omega, alpha_o, betas, mu, nu), _ = _eval_candidate(query, best_x[None, :])
+    if values[0] == NEG_INF:
         return AsymptoticPoint(query.alpha, query.beta, NEG_INF, None)
-    omega, alpha_o, betas = _unpack(query, best_x)
     witness = OptimizerWitness(
-        omega=omega,
+        omega=float(omega[0]),
         levels=tuple(
-            LevelWitness(alpha_o=alpha_o[i], beta=betas[i], mu=inners[i].mu, nu=inners[i].nu)
+            LevelWitness(
+                alpha_o=float(alpha_o[0, i]),
+                beta=float(betas[0, i]),
+                mu=float(mu[0, i]),
+                nu=float(nu[0, i]),
+            )
             for i in range(query.L)
         ),
     )
-    return AsymptoticPoint(query.alpha, query.beta, value, witness)
+    return AsymptoticPoint(query.alpha, query.beta, float(values[0]), witness)
 
 
-def sweep(spec: SweepSpec, n_seeds: int = 8) -> List[AsymptoticPoint]:
+def sweep(spec: SweepSpec) -> List[AsymptoticPoint]:
     """One r_point per grid alpha with beta = delta * alpha, in grid order.
 
     Infeasible rows carry the infeasibility marker; they do not abort the
@@ -659,5 +575,5 @@ def sweep(spec: SweepSpec, n_seeds: int = 8) -> List[AsymptoticPoint]:
         query = AsymptoticQuery(
             q=spec.q, L=spec.L, alpha=alpha, beta=spec.delta * alpha, split=spec.split
         )
-        points.append(r_point(query, grid_points=spec.grid_points, n_seeds=n_seeds))
+        points.append(r_point(query, grid_points=spec.grid_points))
     return points

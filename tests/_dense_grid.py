@@ -16,15 +16,22 @@ def _entropy(x):
     return np.where(inside, -safe * np.log(safe) - (1 - safe) * np.log(1 - safe), 0.0)
 
 
-def _term(t, s):
-    bad = (t < -_TOL) | (s < -_TOL) | (s > t + _TOL)
-    pos = t > _TOL
+def _term(t, s, tol):
+    bad = (t < -tol) | (s < -tol) | (s > t + tol)
+    pos = t > tol
     ratio = np.clip(np.where(pos, s, 0.0) / np.where(pos, t, 1.0), 0.0, 1.0)
     return np.where(bad, -np.inf, np.where(pos, t * _entropy(ratio), 0.0))
 
 
-def facc_grid_max(ai: float, ao: float, b: float, n: int = 2000) -> float:
-    """Grid supremum of the shape objective; -inf if the box is empty."""
+def facc_grid_max(ai: float, ao: float, b: float, n: int = 2000, tol: float = _TOL) -> float:
+    """Grid supremum of the shape objective; -inf if the box is empty.
+
+    Grid points up to ``tol`` outside the feasible set count as feasible,
+    which absorbs rounding at the box edges.  There the objective's slope is
+    unbounded, so such a point can exceed the true supremum by about
+    tol*ln(1/tol); with ``tol=0`` every point counted is feasible and the
+    result is a lower bound of the supremum.
+    """
     mu_lo = max(abs(ai - b) / 2.0, 0.0)
     nu_lo = max(0.0, (ai + b) / 2.0 - ao)
     mu_hi = min(ao, 1.0 - ao, min(1.0 - ao, (ai + b) / 2.0) - nu_lo)
@@ -36,11 +43,11 @@ def facc_grid_max(ai: float, ao: float, b: float, n: int = 2000) -> float:
     half = (ai + b) / 2.0
     zeros = np.zeros((n, n))
     obj = (
-        _term(1.0 - ao + zeros, mus + zeros)
-        + _term(ao + zeros, mus + zeros)
-        + _term(ao - mus + zeros, half - nus - mus)
-        + _term(1.0 - ao - mus + zeros, nus + zeros)
-        + _term(2.0 * mus + zeros, (ai - b) / 2.0 + mus + zeros)
+        _term(1.0 - ao + zeros, mus + zeros, tol)
+        + _term(ao + zeros, mus + zeros, tol)
+        + _term(ao - mus + zeros, half - nus - mus, tol)
+        + _term(1.0 - ao - mus + zeros, nus + zeros, tol)
+        + _term(2.0 * mus + zeros, (ai - b) / 2.0 + mus + zeros, tol)
     )
     return float(np.max(obj))
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _dense_grid import facc_grid_max, sample_shape_args
 from rma_tse.asymptotic import (
@@ -10,6 +12,7 @@ from rma_tse.asymptotic import (
     SplitPolicy,
     SweepSpec,
     _grid_resolution,
+    _mu_bounds,
     _objective,
     f_acc,
     f_rep,
@@ -136,6 +139,38 @@ class TestFAcc:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             AccShapeArgs(1.2, 0.0, 0.0)
+
+    # Corners of the argument box that the interior sampler never draws.
+    BRANCH_CASES = {
+        "h>alpha_o": (0.6, 0.25, 0.3),  # the nu interval starts at h - alpha_o > 0
+        "beta=0": (0.3, 0.4, 0.0),
+        "alpha_o=alpha_i": (0.3, 0.3, 0.1),
+        "alpha_o=0": (0.2, 0.0, 0.2),
+        "one-point-mu-interval": (0.5, 0.2, 0.1),  # alpha_o = |d|: optimum at both ends
+    }
+
+    @pytest.mark.parametrize("ai, ao, b", BRANCH_CASES.values(), ids=BRANCH_CASES.keys())
+    def test_branch_cases(self, ai, ao, b):
+        args = AccShapeArgs(ai, ao, b)
+        opt = f_acc(args)
+        assert opt.value == pytest.approx(facc_grid_max(ai, ao, b, n=800), abs=2e-6)
+        assert opt.value >= facc_grid_max(ai, ao, b, n=800, tol=0.0) - 1e-12
+        assert opt.nu >= max(0.0, 0.5 * (ai + b) - ao)
+        for end in _mu_bounds(ai, ao, b):
+            assert abs(f_acc(args, start=(end, 0.0)).value - opt.value) <= 1e-12
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(*[st.floats(0.0, 1.0)] * 4)
+    def test_unit_box(self, ai, ao, b, start):
+        args = AccShapeArgs(ai, ao, b)
+        opt = f_acc(args)
+        restarted = f_acc(args, start=(start, 0.0))
+        grid = facc_grid_max(ai, ao, b, n=60, tol=0.0)
+        if not opt.feasible:
+            assert grid == -math.inf and not restarted.feasible
+            return
+        assert opt.value >= grid - 1e-12
+        assert abs(restarted.value - opt.value) <= 1e-9
 
 
 class TestConcavity:
