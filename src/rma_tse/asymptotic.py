@@ -19,9 +19,13 @@ function), the nu-maximization has a closed-form stationary point, and the
 stationarity condition of the remaining one-dimensional problem in mu is a
 cubic whose real roots, with the interval ends, contain the maximizer, so
 the inner optimum is found in closed form and certified.  The outer problem
-is low-dimensional and is searched by a deterministic coarse grid followed
-by Nelder-Mead refinement from the best seeds; it is reproducible but not
-certified globally optimal.
+is low-dimensional: its feasible set is a polytope in (omega, alpha_o_l,
+beta_l), and it is searched by a deterministic coarse grid followed by SLSQP
+from the best seeds.  SLSQP gets the gradient in closed form: by the
+envelope theorem the partials of f_acc are those of the inner objective at
+its optimum, logarithms of the optimal fractions.  The search is
+reproducible and its witness is stationary, but it is not certified
+globally optimal.
 """
 
 from __future__ import annotations
@@ -62,7 +66,11 @@ _GRID_BUDGET = 600_000
 # Rows of the coarse grid per inner solve: bounds the memory of its
 # per-root arrays without giving up vectorization.
 _GRID_BLOCK = 512
-_N_SEEDS = 8   # best grid points refined by Nelder-Mead
+_N_SEEDS = 8   # best grid points refined by SLSQP
+# SLSQP keeps this fraction of each constraint's slack at an interior
+# point, so that it evaluates no point on the boundary, where entropy
+# slopes are infinite.
+_SHRINK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -421,53 +429,120 @@ def _grid_axis(upper: float, g: int) -> np.ndarray:
     return np.linspace(0.0, upper, g)
 
 
-def _unpack(query: AsymptoticQuery, x: np.ndarray):
-    """Free vectors (rows of ``x``) -> (omega, alpha_o, betas, ok, violation).
+def _level_map(query: AsymptoticQuery) -> Tuple[np.ndarray, np.ndarray]:
+    """The affine map from a free vector to the level fractions.
 
-    ``alpha_o`` and ``betas`` hold one column per level.  The last level's
-    output share and check share are pinned by the constraints and clamped
-    into [0, 1]; a row is infeasible (``ok`` false) when a pinned share
-    leaves that range by more than the tolerance, a check share exceeds 1 or
-    omega leaves [0, 1].  ``violation`` is how far the pinned shares fall
-    below zero.
+    The free vector is (omega, alpha_o_1..alpha_o_{L-1}), followed with a
+    free split by (beta_1..beta_{L-1}).  The last level's output share
+    alpha - omega/q - sum alpha_o_l and, with a free split, its check share
+    beta - sum beta_l are pinned by the constraints.  Returns (K, k) such
+    that level l has (alpha_i, alpha_o, beta) = K[:, l] @ x + k[:, l]; its
+    input fraction is omega for l = 0 and alpha_o_{l-1} after that.
     """
-    q, L, alpha, beta = query.q, query.L, query.alpha, query.beta
-    omega = x[:, 0]
-    last_ao = alpha - omega / q - x[:, 1:L].sum(axis=1)
+    q, L = query.q, query.L
+    n = L + (L - 1 if query.split.is_free else 0)
+    K, k = np.zeros((3, L, n)), np.zeros((3, L))
+    ai, ao, b = K
+    ao[:-1, 1:L] = np.eye(L - 1)
+    ao[-1, 0], ao[-1, 1:L], k[1, -1] = -1.0 / q, -1.0, query.alpha
+    ai[0, 0] = 1.0
+    ai[1:] = ao[:-1]
     if query.split.is_free:
-        last_b = beta - x[:, L:].sum(axis=1)
-        betas = np.column_stack([x[:, L:], last_b])
+        b[:-1, L:] = np.eye(L - 1)
+        b[-1, L:], k[2, -1] = -1.0, query.beta
     else:
-        betas = np.broadcast_to(np.asarray(query.split.fractions) * beta, (x.shape[0], L))
-        last_b = betas[:, -1]
-    ok = (
-        (omega >= 0.0)
-        & (omega <= 1.0)
-        & (last_ao >= -_FEAS_TOL)
-        & (last_ao <= 1.0 + _FEAS_TOL)
-        & (last_b >= -_FEAS_TOL)
-        & np.all(betas <= 1.0 + _FEAS_TOL, axis=1)
+        k[2] = np.asarray(query.split.fractions) * query.beta
+    return K, k
+
+
+def _upper(query: AsymptoticQuery) -> np.ndarray:
+    """Upper ends of the box of the free vector; every lower end is 0."""
+    n_betas = query.L - 1 if query.split.is_free else 0
+    return np.array(
+        [min(1.0, query.q * query.alpha)]
+        + [min(1.0, query.alpha)] * (query.L - 1)
+        + [min(1.0, query.beta)] * n_betas
     )
-    alpha_o = np.column_stack([x[:, 1:L], np.clip(last_ao, 0.0, 1.0)])
-    violation = np.maximum(-last_ao, 0.0) + np.maximum(-last_b, 0.0)
-    return omega, alpha_o, np.clip(betas, 0.0, 1.0), ok, violation
+
+
+def _unpack(query: AsymptoticQuery, x: np.ndarray):
+    """Free vectors (rows of ``x``) -> ((alpha_i, alpha_o, beta), ok).
+
+    Each fraction has one row per free vector and one column per level and
+    is clamped into [0, 1]; a row is infeasible (``ok`` false) when a
+    fraction leaves [0, 1] by more than the tolerance, which only the pinned
+    shares of the last level can do inside the box.
+    """
+    K, k = _level_map(query)
+    levels = np.swapaxes(K @ x.T, 1, 2) + k[:, None, :]
+    ok = np.all((levels >= -_FEAS_TOL) & (levels <= 1.0 + _FEAS_TOL), axis=(0, 2))
+    return np.clip(levels, 0.0, 1.0), ok
 
 
 def _eval_candidate(query: AsymptoticQuery, x: np.ndarray):
     """Outer objective of each free vector (row of ``x``); NEG_INF if infeasible.
 
-    Returns (values, levels, violation): ``levels`` is (omega, alpha_o,
-    betas, mu, nu) with one column per level for all but omega, and
-    ``violation`` is as in ``_unpack``.  One inner solve covers every level
-    of every row.
+    Returns (values, (alpha_i, alpha_o, beta, mu, nu)), the latter with one
+    column per level.  One inner solve covers every level of every row.
     """
-    omega, alpha_o, betas, ok, violation = _unpack(query, x)
-    mu, nu, inner = _inner(np.column_stack([omega, alpha_o[:, :-1]]), alpha_o, betas)
-    h_omega = _entropy(omega)
-    values = (
-        h_omega / query.q - h_omega + inner.sum(axis=1) - _entropy(alpha_o[:, :-1]).sum(axis=1)
-    )
-    return np.where(ok, values, NEG_INF), (omega, alpha_o, betas, mu, nu), violation
+    (ai, ao, b), ok = _unpack(query, x)
+    mu, nu, inner = _inner(ai, ao, b)
+    h_omega = _entropy(ai[:, 0])
+    values = h_omega / query.q - h_omega + inner.sum(axis=1) - _entropy(ao[:, :-1]).sum(axis=1)
+    return np.where(ok, values, NEG_INF), (ai, ao, b, mu, nu)
+
+
+def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Outer objective at one free vector ``x`` and its gradient in ``x``.
+
+    By the envelope theorem the partials of f_acc in (alpha_i, alpha_o,
+    beta) are those of the five-term objective at the fixed optimum
+    (mu, nu*).  With phi(t, s) = t*H(s/t), d(phi)/ds = ln((t-s)/s) and
+    d(phi)/dt = ln(t/(t-s)); after substituting nu*, and with
+    h = (alpha_i+beta)/2, d = (alpha_i-beta)/2, they are
+
+        d/d alpha_i = [ln((1-h-mu)/(h-mu)) + ln((mu-d)/(mu+d))] / 2
+        d/d beta    = [ln((1-h-mu)/(h-mu)) - ln((mu-d)/(mu+d))] / 2
+        d/d alpha_o = ln(alpha_o (1-alpha_o-mu) / ((1-alpha_o)(alpha_o-mu)))
+
+    A level with beta = 0 (or beta below rounding next to alpha_i) is
+    pinned at mu = alpha_i/2, nu = 0, where the first two are 0/0.  There
+    f_acc = (1-ao) H(mu/(1-ao)) + ao H(mu/ao), whose alpha_i-slope is
+    ln((1-ao-mu)(ao-mu)/mu^2)/2, and beta is a constant (a zero share of a
+    fixed split, or beta = 0, which leaves its coordinates no room), so its
+    slope is set to 0.  The level map chains the level slopes to ``x``, and
+    the entropy terms add (1/q - 1) H'(omega) and -H'(alpha_o) for every
+    level but the last.  Every logarithm is finite strictly inside the
+    feasible polytope.
+    """
+    values, (ai, ao, b, mu, _) = _eval_candidate(query, x[None, :])
+    ai, ao, b, mu = ai[0], ao[0], b[0], mu[0]
+    h, d = 0.5 * (ai + b), 0.5 * (ai - b)
+    pinned = h <= np.abs(d)  # beta = 0, or below rounding next to alpha_i
+    # Logarithms of the factors of the stationarity condition in mu,
+    # (mu-|d|)(mu+|d|)(1-2mu)^2 = 4(h-mu)(ao-mu)(1-ao-mu)(1-h-mu).  The
+    # optimum can sit within rounding of an end of its interval, where one
+    # factor vanishes and loses its digits, so the smallest factor is taken
+    # from the others through the condition.  A pinned level has
+    # mu-|d| = h-mu = 0 and uses neither.
+    sides = np.stack([mu - np.abs(d), h - mu, ao - mu, 1.0 - ao - mu, 1.0 - h - mu])
+    sides[:2, pinned] = 1.0
+    signs = np.array([1.0, -1.0, -1.0, -1.0, -1.0])[:, None]
+    smallest = (np.argmin(sides, axis=0) == np.arange(5)[:, None]) & ~pinned
+    logs = np.log(np.where(smallest, 1.0, sides))
+    balance = np.log((mu + np.abs(d)) * (1.0 - 2.0 * mu) ** 2 / 4.0) + (signs * logs).sum(axis=0)
+    # ln of mu-|d|, h-mu, ao-mu, 1-ao-mu and 1-h-mu
+    low, gap_h, gap_o, top_o, top_h = np.where(smallest, -signs * balance, logs)
+    rate = top_h - gap_h
+    bias = np.sign(d) * (low - np.log(mu + np.abs(d)))  # ln((mu-d)/(mu+d))
+    slopes = np.empty((3, query.L))
+    slopes[0] = np.where(pinned, 0.5 * (top_o + gap_o) - np.log(mu), 0.5 * (rate + bias))
+    slopes[1] = np.log(ao / (1.0 - ao)) + top_o - gap_o
+    slopes[2] = np.where(pinned, 0.0, 0.5 * (rate - bias))
+    slopes[1, :-1] -= np.log((1.0 - ao[:-1]) / ao[:-1])
+    slopes[0, 0] += (1.0 / query.q - 1.0) * np.log((1.0 - ai[0]) / ai[0])
+    K, _ = _level_map(query)
+    return float(values[0]), np.einsum("vl,vln->n", slopes, K)
 
 
 def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
@@ -477,91 +552,108 @@ def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
     feasible rows of a block reach the inner solve; this bounds the memory
     that its per-root arrays take.
     """
-    q, L, alpha, beta = query.q, query.L, query.alpha, query.beta
-    g = _grid_resolution(L, query.split, grid_points)
-    axes = [_grid_axis(min(1.0, q * alpha), g)]
-    axes += [_grid_axis(min(1.0, alpha), g) for _ in range(L - 1)]
-    if query.split.is_free:
-        axes += [_grid_axis(beta, g) for _ in range(L - 1)]
+    g = _grid_resolution(query.L, query.split, grid_points)
+    axes = [_grid_axis(upper, g) for upper in _upper(query)]
     mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
     cand = np.stack([m.ravel() for m in mesh], axis=1)
 
     values = np.full(cand.shape[0], NEG_INF)
     for start in range(0, cand.shape[0], _GRID_BLOCK):
         block = cand[start : start + _GRID_BLOCK]
-        ok = _unpack(query, block)[3]
+        ok = _unpack(query, block)[1]
         values[start : start + _GRID_BLOCK][ok] = _eval_candidate(query, block[ok])[0]
     return cand, values
 
 
-def _refine(query: AsymptoticQuery, x0: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Nelder-Mead ascent from one seed (bounded, deterministic)."""
-    q, L, alpha, beta = query.q, query.L, query.alpha, query.beta
-    bounds = [(0.0, min(1.0, q * alpha))]
-    bounds += [(0.0, min(1.0, alpha))] * (L - 1)
-    if query.split.is_free:
-        bounds += [(0.0, beta)] * (L - 1)
+def _refine(query: AsymptoticQuery, seeds: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """SLSQP ascent from each seed (row of ``seeds``); returns the end points.
 
-    def neg(x):
-        values, _, violation = _eval_candidate(query, x[None, :])
-        if values[0] == NEG_INF:
-            # Finite penalty sloped toward feasibility keeps the simplex alive.
-            return 10.0 + 100.0 * violation[0]
-        return -values[0]
+    The feasible set of the free vector is a polytope: the box of
+    ``_upper``, and per level |alpha_i - beta| <= 2 min(alpha_o, 1 - alpha_o)
+    (the inner problem's mu interval is nonempty) plus 0 <= beta <= 1 for
+    the pinned last check share (0 <= alpha_o <= 1 follows from the former).
+    SLSQP gets the box as bounds, the rest as linear inequalities, and the
+    gradient of ``_value_and_grad``.  Every constraint is tightened toward
+    ``center``, a strictly feasible point, by the fraction ``_SHRINK`` of its
+    slack there, and every point SLSQP asks for, starting with the seed, is
+    first pulled toward ``center`` into the tightened polytope.  So a seed
+    on the boundary is refined too, and every evaluation keeps each entropy
+    argument positive and the gradient finite.  Coordinates whose box is one
+    point stay at 0.  Without room (no such coordinate left, or ``center``
+    not strictly feasible) the seeds are returned as they are.
+    """
+    K, k = _level_map(query)
+    D, d0 = K[0] - K[2], k[0] - k[2]
+    O, o0 = 2.0 * K[1], 2.0 * k[1]
+    A = np.concatenate([O - D, O + D, -O - D, -O + D, K[2, -1:], -K[2, -1:]])
+    a = np.concatenate([o0 - d0, o0 + d0, 2.0 - o0 - d0, 2.0 - o0 + d0, k[2, -1:], 1.0 - k[2, -1:]])
+    hi = _upper(query)
+    free = hi > 0.0
+    A = A[:, free]
+    moving = np.any(A != 0.0, axis=1)  # rows on fixed coordinates only are constants
+    A, a = A[moving], a[moving]
+    c = center[free]
+    room = np.concatenate([c, hi[free] - c, A @ c + a])
+    if not free.any() or np.any(room <= 0.0):
+        return seeds
+    lower = a - _SHRINK * (A @ c + a)
+    bottom, top = _SHRINK * c, hi[free] - _SHRINK * (hi[free] - c)
+    # Every tightened constraint as G @ y + g >= 0, and its slack at c.
+    G = np.concatenate([A, np.eye(c.size), -np.eye(c.size)])
+    g = np.concatenate([lower, -bottom, top])
+    slack = G @ c + g
 
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    span = np.maximum(hi - lo, 0.0)
-    x0 = np.clip(x0, lo + 1e-6 * span, hi - 1e-6 * span)
-    res = minimize(
-        neg,
-        x0,
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": 1e-9, "fatol": 1e-11, "maxiter": 4000, "maxfev": 4000},
-    )
-    return res.x, -res.fun
+    def inside(y):
+        # SLSQP can step past its linear constraints by rounding (up to about
+        # 1e-9 seen); pull y toward c until it meets all of them.
+        short = np.minimum(G @ y + g, 0.0)
+        return y + np.max(-short / (slack - short)) * (c - y)
+
+    def neg(y):
+        x = np.zeros(free.shape)
+        x[free] = inside(y)
+        value, grad = _value_and_grad(query, x)
+        return -value, -grad[free]
+
+    rows = {"type": "ineq", "fun": lambda y: A @ y + lower, "jac": lambda y: A}
+    ends = seeds.copy()
+    for end, seed in zip(ends, seeds):
+        res = minimize(neg, inside(seed[free]), jac=True, method="SLSQP",
+                       bounds=list(zip(bottom, top)), constraints=rows,
+                       options={"ftol": 1e-14, "maxiter": 200})
+        end[free] = inside(res.x)
+    return ends
 
 
 def r_point(query: AsymptoticQuery, grid_points: Optional[int] = None) -> AsymptoticPoint:
     """Spectral-shape value r(alpha, beta) with its maximizing witness.
 
     Coarse grid (``grid_points`` per free dimension, default 33, reduced
-    automatically when the dimension count would exceed the grid budget)
-    followed by Nelder-Mead refinement from the best ``_N_SEEDS`` seeds.
-    Infeasible queries return r = NEG_INF with no witness.
+    automatically when the dimension count would exceed the grid budget),
+    then SLSQP with the envelope-theorem gradient from the best
+    ``_N_SEEDS`` grid points (see ``_refine``).  The answer is the best of
+    the refined points and the best grid point, compared by their true
+    objective value.  Infeasible queries return r = NEG_INF with no witness.
     """
     cand, values = _grid_stage(query, grid_points)
-    order = np.argsort(-values, kind="stable")
-    seeds = [cand[i] for i in order[:_N_SEEDS] if values[i] > NEG_INF]
-    if not seeds:
+    feasible = values > NEG_INF
+    if not feasible.any():
         return AsymptoticPoint(query.alpha, query.beta, NEG_INF, None)
-
-    best_x, best_v = None, NEG_INF
-    for seed in seeds:
-        x, v = _refine(query, np.asarray(seed, dtype=float))
-        if v > best_v:
-            best_x, best_v = x, v
-    # Fall back to the raw grid winner if refinement went nowhere feasible.
-    if best_x is None or best_v == NEG_INF:
-        best_x = np.asarray(seeds[0], dtype=float)
-
-    values, (omega, alpha_o, betas, mu, nu), _ = _eval_candidate(query, best_x[None, :])
-    if values[0] == NEG_INF:
-        return AsymptoticPoint(query.alpha, query.beta, NEG_INF, None)
+    order = np.argsort(-values, kind="stable")[: min(_N_SEEDS, int(feasible.sum()))]
+    ends = _refine(query, cand[order], cand[feasible].mean(axis=0))
+    tried = np.concatenate([cand[order[:1]], ends])
+    values, (ai, ao, b, mu, nu) = _eval_candidate(query, tried)
+    i = int(np.argmax(values))
     witness = OptimizerWitness(
-        omega=float(omega[0]),
+        omega=float(ai[i, 0]),
         levels=tuple(
             LevelWitness(
-                alpha_o=float(alpha_o[0, i]),
-                beta=float(betas[0, i]),
-                mu=float(mu[0, i]),
-                nu=float(nu[0, i]),
+                alpha_o=float(ao[i, l]), beta=float(b[i, l]), mu=float(mu[i, l]), nu=float(nu[i, l])
             )
-            for i in range(query.L)
+            for l in range(query.L)
         ),
     )
-    return AsymptoticPoint(query.alpha, query.beta, float(values[0]), witness)
+    return AsymptoticPoint(query.alpha, query.beta, float(values[i]), witness)
 
 
 def sweep(spec: SweepSpec) -> List[AsymptoticPoint]:

@@ -11,9 +11,14 @@ from rma_tse.asymptotic import (
     AsymptoticQuery,
     SplitPolicy,
     SweepSpec,
+    _eval_candidate,
     _grid_resolution,
+    _grid_stage,
     _mu_bounds,
     _objective,
+    _unpack,
+    _upper,
+    _value_and_grad,
     f_acc,
     f_rep,
     r_point,
@@ -219,18 +224,7 @@ class TestRPoint:
 
     def test_witness_constraints_and_value(self):
         query = AsymptoticQuery(q=3, L=2, alpha=0.12, beta=0.018)
-        point = r_point(query)
-        w = point.witness
-        assert abs(w.omega / query.q + sum(l.alpha_o for l in w.levels) - query.alpha) <= 1e-10
-        assert abs(sum(l.beta for l in w.levels) - query.beta) <= 1e-10
-        total = f_rep(w.omega, query.q) - binary_entropy(w.omega)
-        a_in = w.omega
-        for i, lv in enumerate(w.levels):
-            total += _objective(a_in, lv.alpha_o, lv.beta, lv.mu, lv.nu)
-            if i < query.L - 1:
-                total -= binary_entropy(lv.alpha_o)
-            a_in = lv.alpha_o
-        assert total == pytest.approx(point.r, abs=1e-9)
+        _check_witness(query, r_point(query))
 
     def test_positive_with_checks_q2(self):
         for alpha in (0.01, 0.1, 0.3):
@@ -245,6 +239,165 @@ class TestRPoint:
         point = r_point(AsymptoticQuery(q=2, L=1, alpha=0.2, beta=0.05))
         assert point.feasible
         assert len(point.witness.levels) == 1
+
+    def test_l3_free_split_beats_grid_and_fixed_splits(self):
+        # Grid seeds on the boundary (the corner omega = alpha_o = beta_l = 0
+        # among them) must be refined from a feasible start, and the answer
+        # must not fall below the best grid point.
+        query = AsymptoticQuery(q=3, L=3, alpha=0.1, beta=0.01)
+        point = r_point(query)
+        assert math.isfinite(point.r)
+        assert point.r >= _grid_stage(query, None)[1].max()
+        for fractions in [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3)]:
+            fixed = r_point(AsymptoticQuery(q=3, L=3, alpha=0.1, beta=0.01,
+                                            split=SplitPolicy.fixed(fractions)))
+            assert point.r >= fixed.r - 1e-6, fractions
+        _check_witness(query, point)
+
+
+def _free_vector(query, point):
+    """The free vector of ``r_point``'s search at the point's witness."""
+    w = point.witness
+    x = [w.omega] + [lv.alpha_o for lv in w.levels[:-1]]
+    if query.split.is_free:
+        x += [lv.beta for lv in w.levels[:-1]]
+    return np.array(x)
+
+
+def _check_witness(query, point):
+    """The witness meets every constraint of the outer problem and gives r."""
+    w = point.witness
+    assert 0.0 <= w.omega <= 1.0
+    assert abs(w.omega / query.q + sum(lv.alpha_o for lv in w.levels) - query.alpha) <= 1e-10
+    assert abs(sum(lv.beta for lv in w.levels) - query.beta) <= 1e-10
+    if not query.split.is_free:
+        for lv, f in zip(w.levels, query.split.fractions):
+            assert abs(lv.beta - f * query.beta) <= 1e-10
+    total = f_rep(w.omega, query.q) - binary_entropy(w.omega)
+    a_in = w.omega
+    for i, lv in enumerate(w.levels):
+        assert 0.0 <= lv.alpha_o <= 1.0 and 0.0 <= lv.beta <= 1.0
+        lo, hi = _mu_bounds(a_in, lv.alpha_o, lv.beta)
+        assert lo - 1e-12 <= lv.mu <= hi + 1e-12
+        half = 0.5 * (a_in + lv.beta)
+        assert max(0.0, half - lv.alpha_o) - 1e-12 <= lv.nu
+        assert lv.nu <= min(1.0 - lv.alpha_o - lv.mu, half - lv.mu) + 1e-12
+        total += _objective(a_in, lv.alpha_o, lv.beta, lv.mu, lv.nu)
+        if i < query.L - 1:
+            total -= binary_entropy(lv.alpha_o)
+        a_in = lv.alpha_o
+    assert total == pytest.approx(point.r, abs=1e-9)
+
+
+def _interior_points(query, rng, count):
+    """Random free vectors well inside the feasible polytope."""
+    upper = _upper(query)
+    x = rng.uniform(0.05, 0.95, size=(20_000, upper.size)) * upper
+    (ai, ao, b), ok = _unpack(query, x)
+    room = np.minimum(ao, 1.0 - ao) - 0.5 * np.abs(ai - b)
+    keep = ok & np.all(room >= 1e-3, axis=1)
+    if query.split.is_free:
+        keep &= b[:, -1] >= 0.05 * query.beta
+    assert keep.sum() >= count
+    return x[keep][:count]
+
+
+class TestGradient:
+    # (L, fixed fractions or None for a free split); zero shares pin mu.
+    CASES = [
+        (1, None), (2, None), (2, (0.3, 0.7)), (2, (1.0, 0.0)), (2, (0.0, 1.0)),
+        (3, None), (3, (1.0, 0.0, 0.0)), (3, (0.2, 0.0, 0.8)),
+        (4, None), (4, (1.0, 0.0, 0.0, 0.0)), (4, (0.25, 0.25, 0.25, 0.25)),
+    ]
+
+    @pytest.mark.parametrize("L, fractions", CASES)
+    def test_matches_central_differences(self, L, fractions):
+        rng = np.random.default_rng(100 + L)
+        split = SplitPolicy.free() if fractions is None else SplitPolicy.fixed(fractions)
+        for q, alpha, delta in [(3, 0.2, 0.1), (2, 0.3, 0.25), (4, 0.15, 0.2)]:
+            query = AsymptoticQuery(q=q, L=L, alpha=alpha, beta=delta * alpha, split=split)
+            for x in _interior_points(query, rng, 3):
+                value, grad = _value_and_grad(query, x)
+                assert value == _eval_candidate(query, x[None, :])[0][0]
+                step = 1e-6
+                central = np.empty_like(x)
+                for j in range(x.size):
+                    e = np.zeros_like(x)
+                    e[j] = step
+                    ends = _eval_candidate(query, np.stack([x + e, x - e]))[0]
+                    central[j] = (ends[0] - ends[1]) / (2.0 * step)
+                np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-6)
+
+
+def _figure_queries():
+    """The asymptotic queries of the figure workload: sweep, free, deep."""
+    fixed = SplitPolicy.fixed
+    lo, hi, steps = 0.02, 0.3, 10
+    out = [(AsymptoticQuery(q=3, L=2, alpha=a, beta=0.1 * a, split=fixed((0.5, 0.5))), None)
+           for a in (lo + i * (hi - lo) / (steps - 1) for i in range(steps))]
+    out += [(AsymptoticQuery(q=3, L=2, alpha=a, beta=0.1 * a), None) for a in (0.05, 0.1, 0.2)]
+    out.append((AsymptoticQuery(q=3, L=3, alpha=0.1, beta=0.01, split=fixed((1.0, 0.0, 0.0))),
+                None))
+    out.append((AsymptoticQuery(q=3, L=4, alpha=0.1, beta=0.01,
+                                split=fixed((1.0, 0.0, 0.0, 0.0))), 15))
+    return out
+
+
+@pytest.mark.parametrize("query, grid_points", _figure_queries())
+def test_witness_is_stationary(query, grid_points):
+    point = r_point(query, grid_points=grid_points)
+    x = _free_vector(query, point)
+    _, grad = _value_and_grad(query, x)
+    upper = _upper(query)
+    inside = (x > 1e-6 * upper) & (x < (1.0 - 1e-6) * upper)
+    assert inside.any()
+    assert np.all(np.abs(grad[inside]) <= 1e-5), grad
+
+
+_SPLIT_WEIGHTS = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+
+
+def _fixed_split(L, weights):
+    shares = weights[:L]
+    total = sum(shares)
+    if total == 0.0:
+        shares, total = [1.0] * L, float(L)
+    return SplitPolicy.fixed(tuple(w / total for w in shares))
+
+
+class TestRPointProperties:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(L=st.sampled_from([2, 3]), alpha=st.floats(0.02, 0.3),
+           delta=st.floats(0.02, 0.3), weights=_SPLIT_WEIGHTS)
+    def test_free_split_dominates_fixed(self, L, alpha, delta, weights):
+        free_query = AsymptoticQuery(q=3, L=L, alpha=alpha, beta=delta * alpha)
+        fixed_query = AsymptoticQuery(q=3, L=L, alpha=alpha, beta=delta * alpha,
+                                      split=_fixed_split(L, weights))
+        free, fixed = r_point(free_query), r_point(fixed_query)
+        assert free.r >= fixed.r - 1e-6
+        _check_witness(free_query, free)
+        _check_witness(fixed_query, fixed)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(L=st.sampled_from([2, 3]), free=st.booleans(), alpha=st.floats(0.02, 0.3),
+           deltas=st.lists(st.floats(0.0, 0.2), min_size=2, max_size=2, unique=True))
+    def test_r_nondecreasing_in_delta(self, L, free, alpha, deltas):
+        split = SplitPolicy.free() if free else SplitPolicy.fixed((1.0 / L,) * L)
+        low, high = (
+            r_point(AsymptoticQuery(q=3, L=L, alpha=alpha, beta=d * alpha, split=split))
+            for d in sorted(deltas)
+        )
+        assert high.r >= low.r - 1e-9
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(L=st.sampled_from([2, 3]), free=st.booleans(), q=st.integers(2, 4),
+           alpha=st.floats(0.005, 0.9), delta=st.floats(0.0, 0.5), weights=_SPLIT_WEIGHTS)
+    def test_witness_meets_constraints(self, L, free, q, alpha, delta, weights):
+        split = SplitPolicy.free() if free else _fixed_split(L, weights)
+        query = AsymptoticQuery(q=q, L=L, alpha=alpha, beta=delta * alpha, split=split)
+        point = r_point(query, grid_points=9)
+        if point.feasible:
+            _check_witness(query, point)
 
 
 class TestSweep:
