@@ -20,10 +20,27 @@ count is the single sum over m
     sum_m C(N-a_o, m) C(a_o-1, m-1) C(2m, (a_i-b)/2 + m) C(N-2m, h-m),
 
 evaluated in one value domain: exact integers, or natural logs of counts.
+
+Each factor depends on m and on one other quantity only: with
+d = (a_i - b)/2,
+
+    A[a_o][m] = C(N-a_o, m) C(a_o-1, m-1),  B[d][m] = C(2m, d+m),
+    C[h][m] = C(N-2m, h-m),
+
+so the sum over m factors (the generalized distributive law) into rows that
+all classes of block length N share.  ``_factor_rows`` keeps these rows per
+(value domain, N) and makes each entry on first use with the domain's own
+``binom`` and ``mul``.  A class count is then one product-sum over the
+m-range of three rows, A * (B * C) term by term: the grouping of the four
+binomials above, so exact counts and log values are unchanged.  A single
+class at a large N still makes no more entries than it has terms.  At most
+``_ROW_CACHE_SIZE`` (domain, N) pairs are kept, the least recently used
+leaving first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -54,8 +71,12 @@ __all__ = [
     "EXACT_TABLE_N_MAX",
 ]
 
-# Full-table construction in exact mode is O(N^4) terms; cap it at desk scale.
+# Full-table construction is O(N^4) terms in either value domain; cap it at
+# desk scale.  The name predates the log domain, which shares the ceiling.
 EXACT_TABLE_N_MAX = 512
+
+# Factor rows of this many (value domain, N) pairs stay cached.
+_ROW_CACHE_SIZE = 8
 
 
 class RangeError(ValueError):
@@ -186,6 +207,33 @@ class IotseTable:
         return self.entries.get((a_i, a_o, b), _domain(self.mode).zero)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)`` and keeps it."""
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _rows(entry: Callable[[int, int], object]) -> _Memo:
+    """The rows ``rows[key][m] = entry(key, m)``, each entry made on first use."""
+    return _Memo(lambda key: _Memo(lambda m: entry(key, m)))
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _factor_rows(binom: Callable, mul: Callable, N: int) -> Tuple[_Memo, _Memo, _Memo]:
+    """Rows A (by a_o), B (by signed d) and C (by h) of block length N."""
+    return (
+        _rows(lambda a_o, m: mul(binom(N - a_o, m), binom(a_o - 1, m - 1))),
+        _rows(lambda d, m: binom(2 * m, d + m)),
+        _rows(lambda h, m: binom(N - 2 * m, h - m)),
+    )
+
+
 def _count(dom: _Domain, N: int, a_i: int, a_o: int, b: int):
     """Count of class (a_i, a_o, b) in ``dom``: the single sum over m.
 
@@ -198,14 +246,13 @@ def _count(dom: _Domain, N: int, a_i: int, a_o: int, b: int):
         # 1/1/0 self-loop contributing one unsatisfied check.
         return dom.binom(N, a_i) if a_i == b else dom.zero
     h, d = (a_i + b) // 2, (a_i - b) // 2
-    binom, mul = dom.binom, dom.mul
-    return dom.total(
-        mul(
-            mul(binom(N - a_o, m), binom(a_o - 1, m - 1)),
-            mul(binom(2 * m, d + m), binom(N - 2 * m, h - m)),
-        )
-        for m in range(max(1, abs(d)), min(a_o, N - a_o, h, N - h) + 1)
-    )
+    ms = range(max(1, abs(d)), min(a_o, N - a_o, h, N - h) + 1)
+    by_ao, by_d, by_h = _factor_rows(dom.binom, dom.mul, N)
+    return dom.total(map(
+        dom.mul,
+        map(by_ao[a_o].__getitem__, ms),
+        map(dom.mul, map(by_d[d].__getitem__, ms), map(by_h[h].__getitem__, ms)),
+    ))
 
 
 def acc_iotse(triple: AccTriple, mode: str = "exact") -> Union[BigCount, LogValue]:
@@ -240,9 +287,9 @@ def acc_iotse_table(N: int, mode: str = "exact") -> IotseTable:
     dom = _domain(mode)
     if N < 1:
         raise RangeError(f"block length must be >= 1, got {N}")
-    if dom is _EXACT and N > EXACT_TABLE_N_MAX:
+    if N > EXACT_TABLE_N_MAX:
         raise ResourceLimitError(
-            f"exact table for N={N} exceeds ceiling {EXACT_TABLE_N_MAX}"
+            f"{mode} table for N={N} exceeds ceiling {EXACT_TABLE_N_MAX}"
         )
     entries: Dict[Tuple[int, int, int], Union[BigCount, LogValue]] = {}
     for a_i in range(N + 1):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .acc import _EXACT, RangeError, ResourceLimitError, _count, _Domain, _domain
+from .acc import _EXACT, RangeError, ResourceLimitError, _count, _Domain, _domain, _Memo
 from .combinatorics import ExactRatio, LogValue
 
 __all__ = [
@@ -118,16 +118,12 @@ def _domain_within(config: EnsembleConfig, mode: str, exact_limit: int) -> _Doma
     return dom
 
 
-class _Counts(dict):
+class _Counts(_Memo):
     """Component class counts (a_i, a_o, b) -> count, computed on first use."""
 
     def __init__(self, dom: _Domain, N: int) -> None:
-        super().__init__()
-        self.dom, self.N = dom, N
-
-    def __missing__(self, key):
-        value = self[key] = _count(self.dom, self.N, *key)
-        return value
+        super().__init__(lambda key: _count(dom, N, *key))
+        self.dom = dom
 
 
 # A state key starts (a_i of the next level, accumulated a, accumulated b);

@@ -371,6 +371,14 @@ def _compare_maps(name: str, lhs: Dict, rhs: Dict) -> ComparisonResult:
     return ComparisonResult(name, checked)
 
 
+def _row_sums(table: IotseTable) -> Dict[Tuple[int, int], int]:
+    """A class table summed over b, keyed by (a_i, a_o)."""
+    sums: Dict[Tuple[int, int], int] = {}
+    for (a_i, a_o, b), cnt in table.entries.items():
+        sums[(a_i, a_o)] = sums.get((a_i, a_o), 0) + cnt
+    return sums
+
+
 def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
     """Run every cross-oracle equality and identity check within limits.
 
@@ -381,10 +389,13 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
 
     # Closed form vs trellis DP, all block lengths at once.
     dp_tables = trellis_dp_tables(limits.trellis_n_max)
+    row_sums: Dict[int, Dict[Tuple[int, int], int]] = {}  # for the row-sum check
     checked = 0
     mismatch = None
     for n in range(1, limits.trellis_n_max + 1):
         closed = _acc.acc_iotse_table(n)
+        if n <= limits.rowsum_n_max:
+            row_sums[n] = _row_sums(closed)
         res = _compare_maps("", dp_tables[n].entries, closed.entries)
         checked += res.checked
         if not res.ok:
@@ -429,9 +440,7 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
     checked = 0
     mismatch = None
     for n in range(1, limits.rowsum_n_max + 1):
-        sums: Dict[Tuple[int, int], int] = {}
-        for (a_i, a_o, b), cnt in _acc.acc_iotse_table(n).entries.items():
-            sums[(a_i, a_o)] = sums.get((a_i, a_o), 0) + cnt
+        sums = row_sums[n] if n in row_sums else _row_sums(_acc.acc_iotse_table(n))
         for a_i in range(n + 1):
             for a_o in range(n + 1):
                 checked += 1

@@ -41,13 +41,14 @@ def facc_grid_max(ai: float, ao: float, b: float, n: int = 2000, tol: float = _T
     mus = np.linspace(mu_lo, mu_hi, n)[:, None]
     nus = np.linspace(nu_lo, max(nu_hi, nu_lo), n)[None, :]
     half = (ai + b) / 2.0
-    zeros = np.zeros((n, n))
+    # Each term is evaluated on the smallest array its arguments span (three
+    # depend on mu only); the sum broadcasts them to the full grid.
     obj = (
-        _term(1.0 - ao + zeros, mus + zeros, tol)
-        + _term(ao + zeros, mus + zeros, tol)
-        + _term(ao - mus + zeros, half - nus - mus, tol)
-        + _term(1.0 - ao - mus + zeros, nus + zeros, tol)
-        + _term(2.0 * mus + zeros, (ai - b) / 2.0 + mus + zeros, tol)
+        _term(1.0 - ao, mus, tol)
+        + _term(ao, mus, tol)
+        + _term(ao - mus, half - nus - mus, tol)
+        + _term(1.0 - ao - mus, nus, tol)
+        + _term(2.0 * mus, (ai - b) / 2.0 + mus, tol)
     )
     return float(np.max(obj))
 

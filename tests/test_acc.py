@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rma_tse.acc
 from rma_tse.acc import (
     EXTENDED_TRELLIS_EDGES,
     AccTriple,
@@ -15,7 +16,7 @@ from rma_tse.acc import (
     acc_iowe,
     decompositions,
 )
-from rma_tse.combinatorics import NEG_INF, binomial
+from rma_tse.combinatorics import NEG_INF, binomial, log_binomial, log_sum_exp
 from rma_tse.oracles import exhaustive_acc, trellis_dp
 
 
@@ -81,6 +82,53 @@ class TestAccIotse:
             acc_iotse(AccTriple(3, 0, 0, 0), "approximate")
 
 
+@st.composite
+def classes(draw):
+    n = draw(st.integers(1, 200))
+    return n, draw(st.integers(0, n)), draw(st.integers(0, n)), draw(st.integers(0, n))
+
+
+class TestCountKernel:
+    """The factor-row kernel against the single sum over m, written out."""
+
+    @given(classes())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @example((9, 1, 4, 5))  # a_i < b: negative d
+    @example((9, 3, 0, 3))  # a_o = 0: pure type-1 events
+    @example((200, 0, 100, 200))  # the most negative d at the largest N
+    def test_matches_written_out_sum(self, cls):
+        n, a_i, a_o, b = cls
+        triple = AccTriple(n, a_i, a_o, b)
+        exact, log = acc_iotse(triple), acc_iotse(triple, "log")
+        if (a_i + b) % 2:
+            assert exact == 0 and log == NEG_INF
+            return
+        if a_o == 0:
+            assert exact == (math.comb(n, a_i) if a_i == b else 0)
+            assert log == (log_binomial(n, a_i) if a_i == b else NEG_INF)
+            return
+        h, d = (a_i + b) // 2, (a_i - b) // 2
+        ms = range(max(1, abs(d)), min(a_o, n - a_o, h, n - h) + 1)
+        assert exact == sum(
+            math.comb(n - a_o, m) * math.comb(a_o - 1, m - 1)
+            * math.comb(2 * m, d + m) * math.comb(n - 2 * m, h - m)
+            for m in ms
+        )
+        # The kernel's grouping (b1 + b2) + (b3 + b4) and term order: bit-identical.
+        assert log == log_sum_exp(
+            (log_binomial(n - a_o, m) + log_binomial(a_o - 1, m - 1))
+            + (log_binomial(2 * m, d + m) + log_binomial(n - 2 * m, h - m))
+            for m in ms
+        )
+
+    def test_row_cache_is_bounded(self):
+        for n in range(1, 3 * rma_tse.acc._ROW_CACHE_SIZE):
+            for mode in ("exact", "log"):
+                acc_iotse_table(n, mode)
+        info = rma_tse.acc._factor_rows.cache_info()
+        assert 0 < info.currsize <= info.maxsize == rma_tse.acc._ROW_CACHE_SIZE
+
+
 class TestAccIowe:
     def test_values(self):
         assert acc_iowe(3, 2, 1) == 2
@@ -131,6 +179,14 @@ class TestAccIotseTable:
     def test_exact_ceiling(self):
         with pytest.raises(ResourceLimitError):
             acc_iotse_table(513)
+
+    def test_log_ceiling_before_any_count(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("counted a class past the ceiling")
+
+        monkeypatch.setattr(rma_tse.acc, "_count", unreachable)
+        with pytest.raises(ResourceLimitError, match="log table"):
+            acc_iotse_table(513, "log")
 
     def test_bad_n(self):
         with pytest.raises(RangeError):

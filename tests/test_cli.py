@@ -37,6 +37,10 @@ class TestBasicCommands:
     def test_usage_error_missing_flag(self, capsys):
         assert run(["acc", "--N", "3"]) == 1
 
+    def test_log_table_ceiling_exit_1(self, capsys):
+        assert run(["acc-table", "--N", "513", "--mode", "log"]) == 1
+        assert "log table" in capsys.readouterr().err
+
     def test_usage_error_range(self, capsys):
         assert run(["acc", "--N", "3", "--ai", "9", "--ao", "0", "--b", "0"]) == 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -187,3 +188,16 @@ class TestVerifyAll:
         assert bad.mismatch is not None
         assert bad.mismatch.key == (3, 2, 1, 0)
         assert bad.mismatch.lhs == "2" and bad.mismatch.rhs == "3"
+
+    def test_rowsum_reuses_closed_form_tables(self, monkeypatch):
+        real, calls = rma_tse.acc.acc_iotse_table, []
+
+        def counting(n, mode="exact"):
+            calls.append(n)
+            return real(n, mode)
+
+        monkeypatch.setattr(rma_tse.acc, "acc_iotse_table", counting)
+        report = verify_all(dataclasses.replace(self.QUICK, rowsum_n_max=10))
+        assert sorted(calls) == list(range(1, 11))  # trellis_n_max = 8
+        rowsum = next(c for c in report.comparisons if c.name == "rowsum_identity")
+        assert rowsum.ok and rowsum.checked == sum((n + 1) ** 2 for n in range(1, 11))
