@@ -20,12 +20,13 @@ stationarity condition of the remaining one-dimensional problem in mu is a
 cubic whose real roots, with the interval ends, contain the maximizer, so
 the inner optimum is found in closed form and certified.  The outer problem
 is low-dimensional: its feasible set is a polytope in (omega, alpha_o_l,
-beta_l), and it is searched by a deterministic coarse grid followed by SLSQP
-from the best seeds.  SLSQP gets the gradient in closed form: by the
-envelope theorem the partials of f_acc are those of the inner objective at
-its optimum, logarithms of the optimal fractions.  The search is
-reproducible and its witness is stationary, but it is not certified
-globally optimal.
+beta_l), and it is searched by a deterministic coarse grid followed by one
+SLSQP run from each of the best peaks of the grid (grid points that no
+neighbour beats), so that each local maximum the grid resolves is refined
+once.  SLSQP gets the gradient in closed form: by the envelope theorem the
+partials of f_acc are those of the inner objective at its optimum,
+logarithms of the optimal fractions.  The search is reproducible and its
+witness is stationary, but it is not certified globally optimal.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.special import entr
 
 from .combinatorics import NEG_INF, DomainError, binary_entropy
@@ -66,7 +67,7 @@ _GRID_BUDGET = 600_000
 # Rows of the coarse grid per inner solve: bounds the memory of its
 # per-root arrays without giving up vectorization.
 _GRID_BLOCK = 512
-_N_SEEDS = 8   # best grid points refined by SLSQP
+_N_SEEDS = 8   # at most this many grid peaks, the best ones, are refined by SLSQP
 # SLSQP keeps this fraction of each constraint's slack at an interior
 # point, so that it evaluates no point on the boundary, where entropy
 # slopes are infinite.
@@ -546,11 +547,13 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
 
 
 def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
-    """Deterministic coarse grid; returns candidate matrix and values.
+    """Deterministic coarse grid; returns candidate matrix, values and shape.
 
-    The grid is evaluated ``_GRID_BLOCK`` rows at a time, and only the
-    feasible rows of a block reach the inner solve; this bounds the memory
-    that its per-root arrays take.
+    The candidates are the rows of the grid in C order, so ``values``
+    reshaped to ``shape`` (points per axis) is the grid.  It is evaluated
+    ``_GRID_BLOCK`` rows at a time, and only the feasible rows of a block
+    reach the inner solve; this bounds the memory that its per-root arrays
+    take.
     """
     g = _grid_resolution(query.L, query.split, grid_points)
     axes = [_grid_axis(upper, g) for upper in _upper(query)]
@@ -562,25 +565,37 @@ def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
         block = cand[start : start + _GRID_BLOCK]
         ok = _unpack(query, block)[1]
         values[start : start + _GRID_BLOCK][ok] = _eval_candidate(query, block[ok])[0]
-    return cand, values
+    return cand, values, tuple(axis.size for axis in axes)
 
 
-def _refine(query: AsymptoticQuery, seeds: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """SLSQP ascent from each seed (row of ``seeds``); returns the end points.
+def _peaks(values: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Indices of the best ``_N_SEEDS`` peaks of a grid of ``values``, best first.
 
-    The feasible set of the free vector is a polytope: the box of
-    ``_upper``, and per level |alpha_i - beta| <= 2 min(alpha_o, 1 - alpha_o)
-    (the inner problem's mu interval is nonempty) plus 0 <= beta <= 1 for
-    the pinned last check share (0 <= alpha_o <= 1 follows from the former).
-    SLSQP gets the box as bounds, the rest as linear inequalities, and the
-    gradient of ``_value_and_grad``.  Every constraint is tightened toward
-    ``center``, a strictly feasible point, by the fraction ``_SHRINK`` of its
-    slack there, and every point SLSQP asks for, starting with the seed, is
-    first pulled toward ``center`` into the tightened polytope.  So a seed
-    on the boundary is refined too, and every evaluation keeps each entropy
-    argument positive and the gradient finite.  Coordinates whose box is one
-    point stay at 0.  Without room (no such coordinate left, or ``center``
-    not strictly feasible) the seeds are returned as they are.
+    A peak is a feasible point whose value is at least that of every grid
+    neighbour, diagonals included; so every point of a plateau on top is
+    one, and the best grid point always is.  The neighbourhood maximum is
+    separable: a 3-point maximum along each axis in turn, with the points
+    beyond an end counting as NEG_INF.  Equal values keep grid order.
+    """
+    top = values.reshape(shape).copy()
+    for axis in range(top.ndim):
+        line = np.moveaxis(top, axis, 0)
+        own = line.copy()
+        np.maximum(line[1:], own[:-1], out=line[1:])
+        np.maximum(line[:-1], own[1:], out=line[:-1])
+    peaks = np.flatnonzero((values > NEG_INF) & (values >= top.ravel()))
+    return peaks[np.argsort(-values[peaks], kind="stable")[:_N_SEEDS]]
+
+
+def _polytope(query: AsymptoticQuery):
+    """The feasible set of the free vector: the box [0, hi] and A @ x + a >= 0.
+
+    The box is that of ``_upper``; the rows are, per level, |alpha_i - beta|
+    <= 2 min(alpha_o, 1 - alpha_o) (the inner problem's mu interval is
+    nonempty) plus 0 <= beta <= 1 for the pinned last check share (0 <=
+    alpha_o <= 1 follows from the former).  Returns (free, A, a, hi) on the
+    coordinates whose box is more than one point (``free``; the others stay
+    at 0): the rows that involve any of them, and their upper ends.
     """
     K, k = _level_map(query)
     D, d0 = K[0] - K[2], k[0] - k[2]
@@ -591,13 +606,53 @@ def _refine(query: AsymptoticQuery, seeds: np.ndarray, center: np.ndarray) -> np
     free = hi > 0.0
     A = A[:, free]
     moving = np.any(A != 0.0, axis=1)  # rows on fixed coordinates only are constants
-    A, a = A[moving], a[moving]
-    c = center[free]
-    room = np.concatenate([c, hi[free] - c, A @ c + a])
-    if not free.any() or np.any(room <= 0.0):
+    return free, A[moving], a[moving], hi[free]
+
+
+def _deepest(A: np.ndarray, a: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The point of ``A @ y + a >= 0``, 0 <= y <= hi with the largest minimum slack.
+
+    One linear program in (y, t): maximize t subject to t <= every slack.
+    """
+    n, m = hi.size, a.size
+    ones = np.ones((m + 2 * n, 1))
+    bound = np.concatenate([-A, -np.eye(n), np.eye(n)])
+    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([bound, ones]),
+                  b_ub=np.concatenate([a, np.zeros(n), hi]),
+                  bounds=[(0.0, h) for h in hi] + [(None, None)], method="highs")
+    return res.x[:n]
+
+
+def _refine(query: AsymptoticQuery, seeds: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """SLSQP ascent from each seed (row of ``seeds``); returns the end points.
+
+    SLSQP gets the box of ``_polytope`` as bounds, its rows as linear
+    inequalities, and the gradient of ``_value_and_grad``.  Every constraint
+    is tightened toward a strictly feasible point c by the fraction
+    ``_SHRINK`` of its slack there, and every point SLSQP asks for, starting
+    with the seed, is first pulled toward c into the tightened polytope.  So
+    a seed on the boundary is refined too, and every evaluation keeps each
+    entropy argument positive and the gradient finite.  c is ``center`` when
+    that is strictly feasible, else the point of largest minimum slack
+    (``_deepest``); the centroid of the feasible grid points is not strictly
+    feasible when, say, every one of them has omega = 0.  Coordinates whose
+    box is one point stay at 0.  Without room (no such coordinate left, or
+    no strictly feasible point) the seeds are returned as they are.
+    """
+    free, A, a, hi = _polytope(query)
+    if not free.any():
         return seeds
+
+    def room(y):
+        return np.concatenate([y, hi - y, A @ y + a])
+
+    c = center[free]
+    if np.any(room(c) <= 0.0):
+        c = _deepest(A, a, hi)
+        if np.any(room(c) <= 0.0):
+            return seeds
     lower = a - _SHRINK * (A @ c + a)
-    bottom, top = _SHRINK * c, hi[free] - _SHRINK * (hi[free] - c)
+    bottom, top = _SHRINK * c, hi - _SHRINK * (hi - c)
     # Every tightened constraint as G @ y + g >= 0, and its slack at c.
     G = np.concatenate([A, np.eye(c.size), -np.eye(c.size)])
     g = np.concatenate([lower, -bottom, top])
@@ -630,18 +685,20 @@ def r_point(query: AsymptoticQuery, grid_points: Optional[int] = None) -> Asympt
 
     Coarse grid (``grid_points`` per free dimension, default 33, reduced
     automatically when the dimension count would exceed the grid budget),
-    then SLSQP with the envelope-theorem gradient from the best
-    ``_N_SEEDS`` grid points (see ``_refine``).  The answer is the best of
-    the refined points and the best grid point, compared by their true
-    objective value.  Infeasible queries return r = NEG_INF with no witness.
+    then SLSQP with the envelope-theorem gradient from each of the best
+    ``_N_SEEDS`` peaks of the grid (see ``_peaks`` and ``_refine``): the
+    best grid points are mostly neighbours on one peak, and they would all
+    climb to the same end.  The answer is the best of the refined points
+    and the best grid point, compared by their true objective value.
+    Infeasible queries return r = NEG_INF with no witness.
     """
-    cand, values = _grid_stage(query, grid_points)
+    cand, values, shape = _grid_stage(query, grid_points)
     feasible = values > NEG_INF
     if not feasible.any():
         return AsymptoticPoint(query.alpha, query.beta, NEG_INF, None)
-    order = np.argsort(-values, kind="stable")[: min(_N_SEEDS, int(feasible.sum()))]
-    ends = _refine(query, cand[order], cand[feasible].mean(axis=0))
-    tried = np.concatenate([cand[order[:1]], ends])
+    seeds = _peaks(values, shape)
+    ends = _refine(query, cand[seeds], cand[feasible].mean(axis=0))
+    tried = np.concatenate([cand[seeds[:1]], ends])
     values, (ai, ao, b, mu, nu) = _eval_candidate(query, tried)
     i = int(np.argmax(values))
     witness = OptimizerWitness(

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _dense_grid import facc_grid_max, sample_shape_args
+from rma_tse import asymptotic
 from rma_tse.asymptotic import (
+    _N_SEEDS,
     AccShapeArgs,
     AsymptoticQuery,
     SplitPolicy,
@@ -16,6 +18,8 @@ from rma_tse.asymptotic import (
     _grid_stage,
     _mu_bounds,
     _objective,
+    _peaks,
+    _refine,
     _unpack,
     _upper,
     _value_and_grad,
@@ -254,6 +258,72 @@ class TestRPoint:
             assert point.r >= fixed.r - 1e-6, fractions
         _check_witness(query, point)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    def test_l4_free_split_refines(self, alpha):
+        # Every feasible point of the 6-per-axis grid has omega = 0, so the
+        # centroid of the feasible grid points has no room; SLSQP must start
+        # from a strictly feasible point all the same.
+        query = AsymptoticQuery(q=3, L=4, alpha=alpha, beta=0.1 * alpha)
+        point = r_point(query)
+        assert point.r > _grid_stage(query, None)[1].max() + 1e-5
+        if alpha == 0.2:
+            assert point.r >= 0.0953475 - 1e-7
+        for fractions in [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.25,) * 4]:
+            fixed = r_point(AsymptoticQuery(q=3, L=4, alpha=alpha, beta=0.1 * alpha,
+                                            split=SplitPolicy.fixed(fractions)))
+            assert point.r >= fixed.r - 1e-6, fractions
+        _check_witness(query, point)
+
+
+class TestPeaks:
+    @staticmethod
+    def _grid(rows):
+        grid = np.array(rows, dtype=float)
+        return grid.ravel(), grid.shape
+
+    def test_one_peak(self):
+        i, j = np.indices((5, 6))
+        values = -((i - 2.0) ** 2 + (j - 4.0) ** 2)
+        assert _peaks(values.ravel(), values.shape).tolist() == [2 * 6 + 4]
+
+    def test_two_peaks_best_first(self):
+        values, shape = self._grid([[3, 1, 0, 1, 2],
+                                    [1, 0, 0, 0, 1]])
+        assert _peaks(values, shape).tolist() == [0, 4]
+
+    def test_plateau_tie_keeps_both(self):
+        values, shape = self._grid([[0, 1, 1, 0],
+                                    [0, 0, 0, 0]])
+        assert _peaks(values, shape).tolist() == [1, 2]
+
+    def test_diagonal_neighbour_beats(self):
+        # The centre beats its four axis neighbours but not the corner.
+        values, shape = self._grid([[6, 1, 0],
+                                    [1, 5, 1],
+                                    [0, 1, 0]])
+        assert _peaks(values, shape).tolist() == [0]
+
+    def test_single_feasible_point(self):
+        values = np.full(4 * 4 * 3, NEG_INF)
+        values[29] = -7.0
+        assert _peaks(values, (4, 4, 3)).tolist() == [29]
+        assert _peaks(np.full(9, NEG_INF), (3, 3)).size == 0
+
+    def test_one_point_axis(self):
+        # A box whose upper end is 0 has one point on that axis.
+        values, shape = self._grid([[[1, 0, 2]], [[0, 0, 1]], [[4, 0, 0]]])
+        assert shape == (3, 1, 3)
+        assert _peaks(values, shape).tolist() == [6, 2, 0]
+
+    def test_capped_at_seed_count(self):
+        # 25 isolated peaks at even (i, j), values rising with the index.
+        values = np.zeros((9, 9))
+        values[::2, ::2] = np.arange(1.0, 26.0).reshape(5, 5)
+        best = np.sort(values.ravel())[::-1][:_N_SEEDS]
+        peaks = _peaks(values.ravel(), values.shape)
+        assert peaks.size == _N_SEEDS
+        assert values.ravel()[peaks].tolist() == best.tolist()
+
 
 def _free_vector(query, point):
     """The free vector of ``r_point``'s search at the point's witness."""
@@ -354,6 +424,22 @@ def test_witness_is_stationary(query, grid_points):
     assert np.all(np.abs(grad[inside]) <= 1e-5), grad
 
 
+@pytest.mark.parametrize("query, grid_points", _figure_queries())
+def test_one_refinement_per_peak(query, grid_points, monkeypatch):
+    # The best grid points of a fixed split sit on one peak: one SLSQP run.
+    runs, minimize = [], asymptotic.minimize
+
+    def counting(*args, **kwargs):
+        runs.append(None)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotic, "minimize", counting)
+    r_point(query, grid_points=grid_points)
+    assert 1 <= len(runs) <= _N_SEEDS
+    if not query.split.is_free:
+        assert len(runs) == 1
+
+
 _SPLIT_WEIGHTS = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
 
 
@@ -398,6 +484,20 @@ class TestRPointProperties:
         point = r_point(query, grid_points=9)
         if point.feasible:
             _check_witness(query, point)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(L=st.sampled_from([2, 3]), free=st.booleans(), alpha=st.floats(0.02, 0.3),
+           delta=st.floats(0.0, 0.3), weights=_SPLIT_WEIGHTS)
+    def test_no_worse_than_best_points_as_seeds(self, L, free, alpha, delta, weights):
+        # The seed rule the peaks replaced: SLSQP from the 8 best grid points.
+        split = SplitPolicy.free() if free else _fixed_split(L, weights)
+        query = AsymptoticQuery(q=3, L=L, alpha=alpha, beta=delta * alpha, split=split)
+        cand, values, _ = _grid_stage(query, None)
+        feasible = values > NEG_INF
+        best = np.argsort(-values, kind="stable")[: min(8, int(feasible.sum()))]
+        ends = _refine(query, cand[best], cand[feasible].mean(axis=0))
+        old = _eval_candidate(query, np.concatenate([cand[best[:1]], ends]))[0].max()
+        assert r_point(query).r >= old - 1e-10
 
 
 class TestSweep:
