@@ -269,7 +269,7 @@ PRESET_NAMES = ("fig4", "fig5", "fig6", "fig7")
 
 def _alpha_grid(lo: float, hi: float, steps: int) -> Tuple[float, ...]:
     if steps < 1:
-        return ()
+        raise UsageError(f"--alpha-steps must be >= 1, got {steps}")
     if steps == 1:
         return (lo,)
     step = (hi - lo) / (steps - 1)

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from _dense_grid import facc_grid_max, sample_shape_args
 from rma_tse import asymptotic
 from rma_tse.asymptotic import (
+    _GRID_BLOCK,
+    _GRID_MAX_ROWS,
     _N_SEEDS,
+    DEFAULT_GRID_POINTS,
     AccShapeArgs,
     AsymptoticQuery,
     SplitPolicy,
@@ -96,6 +99,23 @@ class TestGridResolution:
     def test_explicit_points_kept(self):
         assert _grid_resolution(4, SplitPolicy.free(), 7) == 7
         assert _grid_resolution(2, SplitPolicy.free(), 1) == 2
+
+    def test_ceiling(self):
+        free = SplitPolicy.free()
+        assert 7**7 <= _GRID_MAX_ROWS and _grid_resolution(5, free, None) == 5
+        for L, grid_points in [(3, 60), (4, 9), (1, _GRID_MAX_ROWS + 1), (6, None)]:
+            with pytest.raises(DomainError, match="ceiling"):
+                _grid_resolution(L, free, grid_points)
+        with pytest.raises(DomainError, match="ceiling"):
+            SweepSpec(delta=0.1, alpha_grid=(0.1,), q=3, L=3, grid_points=60)
+
+    def test_ceiling_before_any_grid(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a grid past the ceiling")
+
+        monkeypatch.setattr(np, "meshgrid", unreachable)
+        with pytest.raises(DomainError, match="ceiling"):
+            r_point(AsymptoticQuery(q=3, L=3, alpha=0.1, beta=0.01), grid_points=60)
 
 
 class TestFAcc:
@@ -449,6 +469,80 @@ def _fixed_split(L, weights):
     if total == 0.0:
         shares, total = [1.0] * L, float(L)
     return SplitPolicy.fixed(tuple(w / total for w in shares))
+
+
+def _unscreened(query, cand):
+    """Grid values with every row evaluated, as before the polytope screen."""
+    values = np.full(cand.shape[0], NEG_INF)
+    for start in range(0, cand.shape[0], _GRID_BLOCK):
+        block = cand[start : start + _GRID_BLOCK]
+        ok = _unpack(query, block)[1]
+        values[start : start + _GRID_BLOCK][ok] = _eval_candidate(query, block[ok])[0]
+    return values
+
+
+def _assert_screen_exact(query, grid_points=None):
+    cand, values, shape = _grid_stage(query, grid_points)
+    assert cand.shape == (math.prod(shape), _upper(query).size)
+    assert np.array_equal(values, _unscreened(query, cand))
+
+
+class TestGridScreen:
+    """The polytope screen of ``_grid_stage`` only prunes: values are bit-identical."""
+
+    @pytest.mark.parametrize("query, grid_points", _figure_queries())
+    def test_figure_queries(self, query, grid_points):
+        _assert_screen_exact(query, grid_points)
+
+    EDGE_CASES = {
+        "free-L3": AsymptoticQuery(q=3, L=3, alpha=0.1, beta=0.01),
+        "free-L4": AsymptoticQuery(q=3, L=4, alpha=0.1, beta=0.01),
+        "L1": AsymptoticQuery(q=2, L=1, alpha=0.2, beta=0.05),
+        "L1-q-alpha-over-1": AsymptoticQuery(q=4, L=1, alpha=0.6, beta=0.3),
+        "q-alpha-over-1": AsymptoticQuery(q=4, L=2, alpha=0.3, beta=0.03),
+        "q-alpha-over-1-fixed": AsymptoticQuery(q=2, L=3, alpha=0.7, beta=0.35,
+                                                split=SplitPolicy.fixed((0.5, 0.25, 0.25))),
+        "beta-over-alpha": AsymptoticQuery(q=3, L=2, alpha=0.1, beta=0.15),
+        "beta-over-alpha-free-L3": AsymptoticQuery(q=2, L=3, alpha=0.1, beta=0.3),
+        "infeasible": AsymptoticQuery(q=2, L=2, alpha=0.1, beta=3.0),
+        "zero-share-L2": AsymptoticQuery(q=3, L=2, alpha=0.1, beta=0.02,
+                                         split=SplitPolicy.fixed((0.0, 1.0))),
+        "zero-shares-L4": AsymptoticQuery(q=3, L=4, alpha=0.2, beta=0.04,
+                                          split=SplitPolicy.fixed((0.0, 0.5, 0.0, 0.5))),
+        "origin": AsymptoticQuery(q=3, L=2, alpha=0.0, beta=0.0),
+    }
+
+    @pytest.mark.parametrize("query", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+    def test_edge_cases(self, query):
+        _assert_screen_exact(query)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(L=st.integers(1, 4), free=st.booleans(), q=st.integers(1, 4),
+           alpha=st.floats(0.0, 1.0), delta=st.floats(0.0, 1.0),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           grid_points=st.sampled_from([None, 5, 9]))
+    def test_random_queries(self, L, free, q, alpha, delta, weights, grid_points):
+        split = SplitPolicy.free() if free else _fixed_split(L, weights)
+        if (grid_points or DEFAULT_GRID_POINTS) ** (L + (L - 1 if free else 0)) > 40_000:
+            grid_points = 5  # the large grids are covered above; keep examples fast
+        query = AsymptoticQuery(q=q, L=L, alpha=alpha, beta=delta * alpha, split=split)
+        _assert_screen_exact(query, grid_points)
+
+    @pytest.mark.parametrize("query, grid_points",
+                             _figure_queries() + [(EDGE_CASES["free-L3"], None)])
+    def test_only_feasible_rows_reach_inner_solve(self, query, grid_points, monkeypatch):
+        rows, inner = [], asymptotic._inner
+
+        def counting(ai, ao, b):
+            rows.append(np.shape(ai)[0])
+            return inner(ai, ao, b)
+
+        monkeypatch.setattr(asymptotic, "_inner", counting)
+        values = _grid_stage(query, grid_points)[1]
+        # Fails without the screen: 18,513 rows against 4,262 feasible ones
+        # on the free L=2 query at alpha = 0.1.
+        assert max(rows) <= _GRID_BLOCK
+        assert sum(rows) == np.count_nonzero(values > NEG_INF)
 
 
 class TestRPointProperties:

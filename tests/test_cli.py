@@ -86,6 +86,29 @@ class TestAsymCommands:
         assert run(argv) == 1
         assert "not finite" in capsys.readouterr().err
 
+    def test_grid_over_ceiling_exit_1(self, capsys):
+        code = run([
+            "asym-point", "--q", "3", "--L", "3", "--alpha", "0.1", "--beta", "0.01",
+            "--grid-points", "60",
+        ])
+        assert code == 1
+        assert "ceiling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_asym_sweep_no_alpha_steps_exit_1(self, steps, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["asym-sweep", "--q", "3", "--L", "2", "--delta", "0.1",
+                    "--alpha-steps", steps, "--out", str(out)]) == 1
+        assert "--alpha-steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_asym_sweep_grid_over_ceiling_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["asym-sweep", "--q", "3", "--L", "3", "--delta", "0.1", "--alpha-steps", "2",
+                    "--grid-points", "60", "--out", str(out)]) == 1
+        assert "ceiling" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [["--delta", "nan"], ["--delta", "0.1", "--alpha-max", "nan"]])
     def test_asym_sweep_non_finite_exit_1(self, args, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
