@@ -86,6 +86,15 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
+def _write(text: str, destination) -> None:
+    """Write ``text`` to an open stream, or to the file at a path (no newline translation)."""
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
 def emit_sweep_csv(
     rows: Sequence[SweepRow],
     destination,
@@ -113,12 +122,7 @@ def emit_sweep_csv(
         for lv in row.levels:
             cells += [_fmt(v) for v in lv]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", destination)
 
 
 def _value_str(value) -> str:
@@ -142,12 +146,7 @@ def emit_table_json(kind: str, params: Dict, entries: Dict, destination) -> None
             for key, value in sorted(entries.items())
         ],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", destination)
 
 
 def parse_table_json(text: str) -> Tuple[str, Dict, Dict]:
@@ -418,30 +417,25 @@ def _cmd_asym_point(args) -> int:
 
 def _cmd_asym_sweep(args) -> int:
     if args.preset:
-        specs = preset_sweeps(args.preset)
         os.makedirs(args.out_dir, exist_ok=True)
-        for spec, filename in specs:
-            points = _run_sweep(spec)
-            emit_sweep_csv(
-                rows_from_points(points, spec.L), os.path.join(args.out_dir, filename),
-                q=spec.q, L=spec.L, delta=spec.delta, split=spec.split,
-                grid=asymptotic._grid_resolution(spec.L, spec.split, spec.grid_points),
-            )
-        return 0
-    if args.delta is None:
+        jobs = [(spec, os.path.join(args.out_dir, filename))
+                for spec, filename in preset_sweeps(args.preset)]
+    elif args.delta is None:
         raise UsageError("asym-sweep needs --delta (or --preset)")
-    split = _parse_split(args.split)
-    spec = SweepSpec(
-        delta=args.delta,
-        alpha_grid=_alpha_grid(args.alpha_min, args.alpha_max, args.alpha_steps),
-        q=args.q, L=args.L, split=split, grid_points=args.grid_points,
-    )
-    points = _run_sweep(spec)
-    emit_sweep_csv(
-        rows_from_points(points, spec.L), _open_out(args.out),
-        q=spec.q, L=spec.L, delta=spec.delta, split=split,
-        grid=asymptotic._grid_resolution(spec.L, split, spec.grid_points),
-    )
+    else:
+        split = _parse_split(args.split)
+        spec = SweepSpec(
+            delta=args.delta,
+            alpha_grid=_alpha_grid(args.alpha_min, args.alpha_max, args.alpha_steps),
+            q=args.q, L=args.L, split=split, grid_points=args.grid_points,
+        )
+        jobs = [(spec, _open_out(args.out))]
+    for spec, destination in jobs:
+        emit_sweep_csv(
+            rows_from_points(_run_sweep(spec), spec.L), destination,
+            q=spec.q, L=spec.L, delta=spec.delta, split=spec.split,
+            grid=asymptotic._grid_resolution(spec.L, spec.split, spec.grid_points),
+        )
     return 0
 
 
@@ -493,8 +487,7 @@ def _cmd_verify(args) -> int:
             m = comparison.mismatch
             print(f"MISMATCH {comparison.name} at {m.key}: {m.lhs} != {m.rhs}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        _write(report.to_json() + "\n", args.out)
     return 3 if report.mismatch_count else 0
 
 
@@ -516,13 +509,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(_load_config_args(list(argv)))
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RangeError, DomainError, ResourceLimitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, RangeError, DomainError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

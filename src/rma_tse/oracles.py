@@ -17,9 +17,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
 
 TRELLIS_N_MAX = 48
 GRAPH_OP_BUDGET = 10**9
+_EXHAUSTIVE_N_MAX = 12
 
 # A permutation is a 0-based tuple p with v[k] = y[p[k]].
 Permutation = Tuple[int, ...]
@@ -127,8 +129,8 @@ def exhaustive_acc(N: int) -> IotseTable:
     """
     if N < 1:
         raise RangeError(f"block length must be >= 1, got {N}")
-    if N > 12:
-        raise RangeError(f"exhaustive enumeration capped at N=12, got {N}")
+    if N > _EXHAUSTIVE_N_MAX:
+        raise RangeError(f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {N}")
     pc = np.array([bin(v).count("1") for v in range(1 << N)], dtype=np.int64)
     inputs = np.arange(1 << N, dtype=np.int64)
     outputs = np.arange(1 << max(N - 1, 0), dtype=np.int64)
@@ -359,173 +361,110 @@ class OracleReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _compare_maps(name: str, lhs: Dict, rhs: Dict) -> ComparisonResult:
-    """First mismatch (smallest key) between two exact tables."""
+def _first_mismatch(name: str, triples: Iterable[Tuple]) -> ComparisonResult:
+    """Compare ``(key, lhs, rhs)`` triples in order; stop at the first disagreement."""
     checked = 0
-    for key in sorted(set(lhs) | set(rhs)):
+    for key, lhs, rhs in triples:
         checked += 1
-        a = lhs.get(key, 0)
-        b = rhs.get(key, 0)
-        if a != b:
-            return ComparisonResult(name, checked, Mismatch(key, str(a), str(b)))
+        if lhs != rhs:
+            return ComparisonResult(name, checked, Mismatch(key, str(lhs), str(rhs)))
     return ComparisonResult(name, checked)
 
 
-def _row_sums(table: IotseTable) -> Dict[Tuple[int, int], int]:
+def _table_triples(lhs: Dict, rhs: Dict, prefix: Tuple = ()):
+    """Both tables' values (0 if missing) over their sorted keys, built by C-level iterators."""
+    keys, zero = sorted(lhs.keys() | rhs.keys()), itertools.repeat(0)
+    return zip(map(prefix.__add__, keys), map(lhs.get, keys, zero), map(rhs.get, keys, zero))
+
+
+def _row_sums(table: IotseTable) -> Counter:
     """A class table summed over b, keyed by (a_i, a_o)."""
-    sums: Dict[Tuple[int, int], int] = {}
-    for (a_i, a_o, b), cnt in table.entries.items():
-        sums[(a_i, a_o)] = sums.get((a_i, a_o), 0) + cnt
+    sums: Counter = Counter()
+    for (a_i, a_o, _), cnt in table.entries.items():
+        sums[a_i, a_o] += cnt
     return sums
 
 
 def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
     """Run every cross-oracle equality and identity check within limits.
 
-    Mismatches are reported, not raised; each comparison records its first
-    (smallest-key) disagreement.
+    Mismatches are reported, not raised: each comparison walks its keys in a
+    fixed order, stops at the first disagreement, and its ``checked`` counts
+    the keys compared up to and including that mismatch (all keys if none).
     """
-    report = OracleReport()
+    n_ex = limits.exhaustive_n_max
+    if n_ex > _EXHAUSTIVE_N_MAX:  # rejected before any table is built
+        raise RangeError(f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {n_ex}")
+    dp_tables = trellis_dp_tables(max(limits.trellis_n_max, n_ex))
+    row_sums: Dict[int, Counter] = {}  # kept for the row-sum check
 
-    # Closed form vs trellis DP, all block lengths at once.
-    dp_tables = trellis_dp_tables(limits.trellis_n_max)
-    row_sums: Dict[int, Dict[Tuple[int, int], int]] = {}  # for the row-sum check
-    checked = 0
-    mismatch = None
-    for n in range(1, limits.trellis_n_max + 1):
-        closed = _acc.acc_iotse_table(n)
-        if n <= limits.rowsum_n_max:
-            row_sums[n] = _row_sums(closed)
-        res = _compare_maps("", dp_tables[n].entries, closed.entries)
-        checked += res.checked
-        if not res.ok:
-            mismatch = Mismatch((n,) + res.mismatch.key, res.mismatch.lhs, res.mismatch.rhs)
-            break
-    report.comparisons.append(
-        ComparisonResult("closed_form_vs_trellis", checked, mismatch)
+    def closed_form():
+        # Closed form vs trellis DP: one stream per n, its table built only when reached.
+        for n in range(1, limits.trellis_n_max + 1):
+            closed = _acc.acc_iotse_table(n)
+            if n <= limits.rowsum_n_max:
+                row_sums[n] = _row_sums(closed)
+            yield _table_triples(dp_tables[n].entries, closed.entries, (n,))
+
+    def rowsum():
+        # Summing one class table over b must count all subset pairs.
+        for n in range(1, limits.rowsum_n_max + 1):
+            sums = row_sums[n] if n in row_sums else _row_sums(_acc.acc_iotse_table(n))
+            for a_i, a_o in itertools.product(range(n + 1), repeat=2):
+                yield (n, a_i, a_o), sums[a_i, a_o], binomial(n, a_i) * binomial(n - 1, a_o)
+
+    def closure():
+        # Closure identity: an ensemble table's total mass is 2^universe.
+        for q, k, l_levels in itertools.product(
+            range(1, limits.closure_q_max + 1),
+            range(1, limits.closure_k_max + 1),
+            range(1, limits.closure_l_max + 1),
+        ):
+            config = EnsembleConfig(q=q, K=k, L=l_levels)
+            total = sum(_ensemble.ensemble_table(config).values(), Fraction(0))
+            yield (q, k, l_levels), total, 1 << (config.K + config.L * (config.N - 1))
+
+    def codeword_support():
+        # Every encoded word whose accumulators terminate induces b = 0.
+        config = EnsembleConfig(*limits.codeword_config)
+        for perms in itertools.product(itertools.permutations(range(config.N)), repeat=config.L):
+            graph = build_factor_graph(config, perms)
+            for bits in itertools.product((0, 1), repeat=config.K):
+                _, levels = encode(list(bits), perms)
+                if any(x[-1] for x in levels):
+                    continue
+                word = list(bits) + [bit for x in levels for bit in x[:-1]]  # universe order
+                mask = sum(bit << j for j, bit in enumerate(word))
+                yield (perms, bits), graph.induced_class(MembershipAssignment(mask))[1], 0
+
+    exhaustive = (  # trellis DP vs exhaustive subset enumeration
+        _table_triples(dp_tables[n].entries, exhaustive_acc(n).entries, (n,))
+        for n in range(1, n_ex + 1)
     )
-
-    # Trellis DP vs exhaustive subset enumeration.
-    checked = 0
-    mismatch = None
-    for n in range(1, limits.exhaustive_n_max + 1):
-        res = _compare_maps("", dp_tables[n].entries, exhaustive_acc(n).entries)
-        checked += res.checked
-        if not res.ok:
-            mismatch = Mismatch((n,) + res.mismatch.key, res.mismatch.lhs, res.mismatch.rhs)
-            break
-    report.comparisons.append(
-        ComparisonResult("trellis_vs_exhaustive", checked, mismatch)
+    iowe = (  # b = 0 slice vs the classic weight enumerator
+        ((n, w, d), _acc.acc_iotse(_acc.AccTriple(n, w, d, 0)), _acc.acc_iowe(n, w, d))
+        for n in range(1, limits.iowe_n_max + 1)
+        for w, d in itertools.product(range(n + 1), repeat=2)
     )
-
-    # b = 0 slice vs the classic weight enumerator.
-    checked = 0
-    mismatch = None
-    for n in range(1, limits.iowe_n_max + 1):
-        for w in range(n + 1):
-            for d in range(n + 1):
-                checked += 1
-                lhs = _acc.acc_iotse(_acc.AccTriple(n, w, d, 0))
-                rhs = _acc.acc_iowe(n, w, d)
-                if lhs != rhs:
-                    mismatch = Mismatch((n, w, d), str(lhs), str(rhs))
-                    break
-            if mismatch:
-                break
-        if mismatch:
-            break
-    report.comparisons.append(ComparisonResult("iowe_b0_reduction", checked, mismatch))
-
-    # Row sums: summing one class table over b must count all subset pairs.
-    checked = 0
-    mismatch = None
-    for n in range(1, limits.rowsum_n_max + 1):
-        sums = row_sums[n] if n in row_sums else _row_sums(_acc.acc_iotse_table(n))
-        for a_i in range(n + 1):
-            for a_o in range(n + 1):
-                checked += 1
-                expect = binomial(n, a_i) * binomial(n - 1, a_o)
-                if sums.get((a_i, a_o), 0) != expect:
-                    mismatch = Mismatch(
-                        (n, a_i, a_o), str(sums.get((a_i, a_o), 0)), str(expect)
-                    )
-                    break
-            if mismatch:
-                break
-        if mismatch:
-            break
-    report.comparisons.append(ComparisonResult("rowsum_identity", checked, mismatch))
-
-    # Graph-average oracle vs uniform-interleaver composition, exact.
+    comparisons = [
+        _first_mismatch("closed_form_vs_trellis", itertools.chain.from_iterable(closed_form())),
+        _first_mismatch("trellis_vs_exhaustive", itertools.chain.from_iterable(exhaustive)),
+        _first_mismatch("iowe_b0_reduction", iowe),
+        _first_mismatch("rowsum_identity", rowsum()),
+    ]
+    # Graph-average oracle vs uniform-interleaver composition; graph mass is 2^universe.
     for q, k, l_levels in limits.graph_configs:
         config = EnsembleConfig(q=q, K=k, L=l_levels)
+        tag = f"q{q}_K{k}_L{l_levels}"
         graph_table = graph_ensemble_average(config)
         composed = _ensemble.ensemble_table(config)
-        res = _compare_maps(
-            f"graph_vs_ensemble_q{q}_K{k}_L{l_levels}", graph_table, composed
-        )
-        report.comparisons.append(res)
-        # Averaging consistency: total mass is the universe size.
-        universe = config.K + config.L * (config.N - 1)
         total = sum(graph_table.values(), Fraction(0))
-        ok = total == (1 << universe)
-        report.comparisons.append(
-            ComparisonResult(
-                f"graph_universe_mass_q{q}_K{k}_L{l_levels}",
-                len(graph_table),
-                None if ok else Mismatch(("total",), str(total), str(1 << universe)),
-            )
-        )
-
-    # Closure identity over the small-config family.
-    checked = 0
-    mismatch = None
-    for q in range(1, limits.closure_q_max + 1):
-        for k in range(1, limits.closure_k_max + 1):
-            for l_levels in range(1, limits.closure_l_max + 1):
-                config = EnsembleConfig(q=q, K=k, L=l_levels)
-                checked += 1
-                total = sum(_ensemble.ensemble_table(config).values(), Fraction(0))
-                expect = Fraction(1 << (config.K + config.L * (config.N - 1)))
-                if total != expect:
-                    mismatch = Mismatch((q, k, l_levels), str(total), str(expect))
-                    break
-            if mismatch:
-                break
-        if mismatch:
-            break
-    report.comparisons.append(ComparisonResult("closure_identity", checked, mismatch))
-
-    # Every encoded word whose accumulators terminate induces b = 0.
-    q, k, l_levels = limits.codeword_config
-    config = EnsembleConfig(q=q, K=k, L=l_levels)
-    checked = 0
-    mismatch = None
-    for perms in itertools.product(
-        itertools.permutations(range(config.N)), repeat=config.L
-    ):
-        graph = build_factor_graph(config, perms)
-        for bits in itertools.product((0, 1), repeat=config.K):
-            x_rep, levels = encode(list(bits), perms)
-            if any(x[-1] for x in levels):
-                continue
-            mask = 0
-            for j, bit in enumerate(bits):
-                if bit:
-                    mask |= 1 << j
-            for lvl, x in enumerate(levels, start=1):
-                for pos in range(config.N - 1):
-                    if x[pos]:
-                        mask |= 1 << _code_node_bit(config, lvl, pos)
-            checked += 1
-            _, b = graph.induced_class(MembershipAssignment(mask))
-            if b != 0:
-                mismatch = Mismatch((perms, bits), str(b), "0")
-                break
-        if mismatch:
-            break
-    report.comparisons.append(
-        ComparisonResult("codeword_support_b0", checked, mismatch)
-    )
-
-    return report
+        expect = 1 << (config.K + config.L * (config.N - 1))
+        mass = None if total == expect else Mismatch(("total",), str(total), str(expect))
+        comparisons += [
+            _first_mismatch(f"graph_vs_ensemble_{tag}", _table_triples(graph_table, composed)),
+            ComparisonResult(f"graph_universe_mass_{tag}", len(graph_table), mass),
+        ]
+    comparisons.append(_first_mismatch("closure_identity", closure()))
+    comparisons.append(_first_mismatch("codeword_support_b0", codeword_support()))
+    return OracleReport(comparisons)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 import rma_tse.acc
 import rma_tse.cli
+import rma_tse.oracles
 from rma_tse.acc import IotseTable, acc_iotse_table
 from rma_tse.asymptotic import SplitPolicy, SweepSpec
 from rma_tse.cli import (
@@ -280,6 +282,34 @@ class TestVerifyCommand:
         monkeypatch.setattr(rma_tse.acc, "acc_iotse_table", faulty)
         assert run(["verify", "--quick"]) == 3
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_quick_bytes_pinned(self, capsys, tmp_path):
+        # The same bytes the benchmark's full gate checks, at the quick limits.
+        out = tmp_path / "report.json"
+        assert run(["verify", "--quick", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "2b663d39d0041577d25fb6a9b944eb6973f646522a260efe9f2692db5d017e58"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d6095f1fd7ab04cf833f56f04cec44db8f5d26ca2363818c0191b1c1e1aba691"
+        )
+
+    def test_exhaustive_past_closed_range(self, capsys):
+        assert run([
+            "verify", "--n-closed", "5", "--n-exhaustive", "8", "--n-iowe", "4",
+            "--n-rowsum", "4", "--closure-kmax", "1", "--closure-qmax", "1",
+            "--closure-lmax", "1",
+        ]) == 0
+        assert "OK trellis_vs_exhaustive (604 keys)" in capsys.readouterr().out
+
+    def test_exhaustive_cap_exit_1(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table past the exhaustive cap")
+
+        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        assert run(["verify", "--n-exhaustive", "13"]) == 1
+        assert "exhaustive enumeration capped at N=12, got 13" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -6,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 import rma_tse.acc
+import rma_tse.ensemble
+import rma_tse.oracles
 from rma_tse.acc import IotseTable, RangeError, ResourceLimitError
 from rma_tse.ensemble import EnsembleConfig
 from rma_tse.oracles import (
+    FactorGraph,
     MembershipAssignment,
     VerifyLimits,
     build_factor_graph,
@@ -201,3 +205,135 @@ class TestVerifyAll:
         assert sorted(calls) == list(range(1, 11))  # trellis_n_max = 8
         rowsum = next(c for c in report.comparisons if c.name == "rowsum_identity")
         assert rowsum.ok and rowsum.checked == sum((n + 1) ** 2 for n in range(1, 11))
+
+    def test_exhaustive_past_trellis_range(self):
+        # The trellis DP must cover the exhaustive range too, not only the closed-form one.
+        report = verify_all(dataclasses.replace(self.QUICK, trellis_n_max=5, exhaustive_n_max=8))
+        assert report.mismatch_count == 0
+        exhaustive = next(c for c in report.comparisons if c.name == "trellis_vs_exhaustive")
+        assert exhaustive.checked == sum(len(trellis_dp(n).entries) for n in range(1, 9))
+
+    def test_exhaustive_cap_before_any_table(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table past the exhaustive cap")
+
+        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        with pytest.raises(RangeError, match="capped at N=12, got 13"):
+            verify_all(dataclasses.replace(self.QUICK, exhaustive_n_max=13))
+
+
+def _mismatches(report):
+    """(name, checked, key, lhs, rhs) of every failed comparison, in report order."""
+    return [
+        (c.name, c.checked, c.mismatch.key, c.mismatch.lhs, c.mismatch.rhs)
+        for c in report.comparisons
+        if not c.ok
+    ]
+
+
+class TestFirstMismatch:
+    """One injected fault per comparison: ``checked`` counts the keys up to
+    and including the first mismatch, which is reported with its values."""
+
+    QUICK = TestVerifyAll.QUICK
+
+    @staticmethod
+    def bump(table, key, by=1):
+        entries = dict(table.entries)
+        entries[key] = entries.get(key, 0) + by
+        return IotseTable(N=table.N, mode=table.mode, entries=entries)
+
+    def test_closed_form_fault_stops_the_table_build(self, monkeypatch):
+        real, calls = rma_tse.acc.acc_iotse_table, []
+
+        def faulty(n, mode="exact"):
+            calls.append(n)
+            return self.bump(real(n, mode), (2, 1, 0)) if n == 3 else real(n, mode)
+
+        monkeypatch.setattr(rma_tse.acc, "acc_iotse_table", faulty)
+        assert _mismatches(verify_all(self.QUICK)) == [
+            ("closed_form_vs_trellis", 18, (3, 2, 1, 0), "2", "3"),
+            ("rowsum_identity", 23, (3, 2, 1), "7", "6"),
+        ]
+        assert calls == [1, 2, 3]  # the row-sum check stops at n = 3 too
+
+    def test_trellis_vs_exhaustive(self, monkeypatch):
+        real = rma_tse.oracles.exhaustive_acc
+        monkeypatch.setattr(
+            rma_tse.oracles, "exhaustive_acc",
+            lambda n: self.bump(real(n), (2, 1, 0)) if n == 4 else real(n),
+        )
+        assert _mismatches(verify_all(self.QUICK)) == [
+            ("trellis_vs_exhaustive", 38, (4, 2, 1, 0), "3", "4"),
+        ]
+
+    def test_iowe_b0(self, monkeypatch):
+        real = rma_tse.acc.acc_iowe
+        monkeypatch.setattr(
+            rma_tse.acc, "acc_iowe",
+            lambda n, w, d: real(n, w, d) + ((n, w, d) == (5, 2, 3)),
+        )
+        assert _mismatches(verify_all(self.QUICK)) == [
+            ("iowe_b0_reduction", 70, (5, 2, 3), "2", "3"),
+        ]
+
+    def test_rowsum_past_trellis_range(self, monkeypatch):
+        real = rma_tse.acc.acc_iotse_table
+        monkeypatch.setattr(
+            rma_tse.acc, "acc_iotse_table",
+            lambda n, mode="exact": self.bump(real(n, mode), (4, 3, 1), 2) if n == 9
+            else real(n, mode),
+        )
+        report = verify_all(dataclasses.replace(self.QUICK, rowsum_n_max=10))
+        assert _mismatches(report) == [
+            ("rowsum_identity", 328, (9, 4, 3), "7058", "7056"),
+        ]
+
+    def test_graph_vs_ensemble(self, monkeypatch):
+        real = rma_tse.oracles.graph_ensemble_average
+
+        def faulty(config):
+            table = dict(real(config))
+            table[(1, 2)] += Fraction(1, 3)
+            return table
+
+        monkeypatch.setattr(rma_tse.oracles, "graph_ensemble_average", faulty)
+        assert _mismatches(verify_all(self.QUICK)) == [
+            ("graph_vs_ensemble_q2_K2_L1", 2, (1, 2), "16/3", "5"),
+            ("graph_universe_mass_q2_K2_L1", 12, ("total",), "97/3", "32"),
+        ]
+
+    def test_closure(self, monkeypatch):
+        real = rma_tse.ensemble.ensemble_table
+
+        def faulty(config, mode="exact"):
+            table = real(config, mode)
+            if (config.q, config.K, config.L) == (2, 1, 2):
+                table = dict(table)
+                table[(0, 0)] += 1
+            return table
+
+        monkeypatch.setattr(rma_tse.ensemble, "ensemble_table", faulty)
+        assert _mismatches(verify_all(self.QUICK)) == [
+            ("closure_identity", 6, (2, 1, 2), "9", "8"),
+        ]
+
+    def test_codeword_support_and_its_json(self, monkeypatch):
+        real, calls = FactorGraph.induced_class, []
+
+        def faulty(graph, assignment):
+            a, b = real(graph, assignment)
+            calls.append(assignment)
+            return (a, b + 1) if len(calls) == 3 else (a, b)
+
+        monkeypatch.setattr(FactorGraph, "induced_class", faulty)
+        report = verify_all(self.QUICK)
+        assert _mismatches(report) == [
+            ("codeword_support_b0", 3, (((1, 0), (0, 1)), (0,)), "1", "0"),
+        ]
+        # The nested (perms, bits) key serialises as nested lists.
+        text = report.to_json()
+        assert json.loads(text)["comparisons"][-1]["mismatch"]["key"] == [[[1, 0], [0, 1]], [0]]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e634d03c2d3f08315ad82943e565b1b6d71920715df2e514cda75bb66fef0e94"
+        )
