@@ -9,11 +9,11 @@ supplies argument defaults (command line wins).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -31,13 +31,11 @@ from .combinatorics import DomainError
 from .ensemble import EnsembleConfig, TrappingSetClass
 
 __all__ = [
-    "SweepRow",
     "run",
     "main",
     "emit_sweep_csv",
     "emit_table_json",
     "parse_table_json",
-    "rows_from_points",
     "preset_sweeps",
 ]
 
@@ -49,37 +47,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # keep argparse from exiting
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One CSV row: alpha, beta, r, clamped r, then the witness per level."""
-
-    alpha: float
-    beta: float
-    r: float
-    r_clamped: float
-    omega: float
-    levels: Tuple[Tuple[float, float, float, float], ...]  # (alpha_o, beta, mu, nu)
-
-
-def rows_from_points(points: Iterable[AsymptoticPoint], L: int) -> List[SweepRow]:
-    rows = []
-    nan = float("nan")
-    for p in points:
-        if p.witness is None:
-            rows.append(
-                SweepRow(p.alpha, p.beta, p.r, max(p.r, 0.0), nan,
-                         tuple((nan, nan, nan, nan) for _ in range(L)))
-            )
-        else:
-            rows.append(
-                SweepRow(
-                    p.alpha, p.beta, p.r, max(p.r, 0.0), p.witness.omega,
-                    tuple((lv.alpha_o, lv.beta, lv.mu, lv.nu) for lv in p.witness.levels),
-                )
-            )
-    return rows
 
 
 def _fmt(x: float) -> str:
@@ -95,33 +62,32 @@ def _write(text: str, destination) -> None:
             fh.write(text)
 
 
-def emit_sweep_csv(
-    rows: Sequence[SweepRow],
-    destination,
-    *,
-    q: int,
-    L: int,
-    delta: float,
-    split: SplitPolicy,
-    grid: int,
-) -> None:
-    """Write sweep rows with a metadata comment line and a fixed header.
+def emit_sweep_csv(spec: SweepSpec, points: Iterable[AsymptoticPoint], destination) -> None:
+    """Write a sweep's points with a metadata comment line and a fixed header.
 
     Identical inputs produce byte-identical files: one metadata line, the
-    header, then rows at 9 significant digits.
+    header, then one row per point at 9 significant digits: alpha, beta, r,
+    ``r_clamped = max(r, 0)``, omega, then the witness of each level.  A
+    point without a witness gets NaN witness cells.
     """
+    L = spec.L
+    grid = asymptotic._grid_resolution(L, spec.split, spec.grid_points)
     header = ["alpha", "beta", "r", "r_clamped", "omega"]
     for level in range(1, L + 1):
         header += [f"alpha_o_{level}", f"beta_{level}", f"mu_{level}", f"nu_{level}"]
     lines = [
-        f"# q={q} L={L} delta={_fmt(delta)} split={split.describe()} grid={grid}",
+        f"# q={spec.q} L={L} delta={_fmt(spec.delta)} split={spec.split.describe()} grid={grid}",
         ",".join(header),
     ]
-    for row in rows:
-        cells = [_fmt(row.alpha), _fmt(row.beta), _fmt(row.r), _fmt(row.r_clamped), _fmt(row.omega)]
-        for lv in row.levels:
-            cells += [_fmt(v) for v in lv]
-        lines.append(",".join(cells))
+    nan = float("nan")
+    for p in points:
+        if p.witness is None:
+            omega, levels = nan, [(nan, nan, nan, nan)] * L
+        else:
+            omega = p.witness.omega
+            levels = [(lv.alpha_o, lv.beta, lv.mu, lv.nu) for lv in p.witness.levels]
+        cells = [p.alpha, p.beta, p.r, max(p.r, 0.0), omega] + [v for lv in levels for v in lv]
+        lines.append(",".join(_fmt(v) for v in cells))
     _write("\n".join(lines) + "\n", destination)
 
 
@@ -229,16 +195,17 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-points", type=int, default=None)
 
     p = sub.add_parser("asym-sweep", help="constant-ratio spectral-shape sweep")
+    source = p.add_mutually_exclusive_group()
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--L", type=int, default=2)
-    p.add_argument("--delta", type=float, default=None)
+    source.add_argument("--delta", type=float, default=None)
     p.add_argument("--alpha-min", type=float, default=0.01)
     p.add_argument("--alpha-max", type=float, default=0.3)
     p.add_argument("--alpha-steps", type=int, default=30)
     p.add_argument("--split", default="free")
     p.add_argument("--grid-points", type=int, default=None)
     p.add_argument("--out", default="-")
-    p.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None)
+    source.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None)
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("oracle", help="run one brute-force oracle")
@@ -250,13 +217,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify", help="cross-check every oracle equality")
-    p.add_argument("--n-closed", type=int, default=32)
-    p.add_argument("--n-exhaustive", type=int, default=12)
-    p.add_argument("--n-iowe", type=int, default=64)
-    p.add_argument("--n-rowsum", type=int, default=32)
-    p.add_argument("--closure-kmax", type=int, default=4)
-    p.add_argument("--closure-qmax", type=int, default=3)
-    p.add_argument("--closure-lmax", type=int, default=3)
+    # No defaults here: VerifyLimits holds them, and a flag left out keeps the
+    # base's value.  The metavar names the flag, as the help text always has.
+    for flag, field in _LIMIT_FLAGS.items():
+        p.add_argument(flag, dest=field, type=int, metavar=flag[2:].replace("-", "_").upper())
     p.add_argument("--quick", action="store_true",
                    help="shrink all limits for a fast smoke run")
     p.add_argument("--out", default=None)
@@ -264,6 +228,28 @@ def build_parser() -> _Parser:
 
 
 PRESET_NAMES = ("fig4", "fig5", "fig6", "fig7")
+
+# ``tse verify`` limit flags and the VerifyLimits fields they set.
+_LIMIT_FLAGS = {
+    "--n-closed": "trellis_n_max",
+    "--n-exhaustive": "exhaustive_n_max",
+    "--n-iowe": "iowe_n_max",
+    "--n-rowsum": "rowsum_n_max",
+    "--closure-kmax": "closure_k_max",
+    "--closure-qmax": "closure_q_max",
+    "--closure-lmax": "closure_l_max",
+}
+
+_QUICK_LIMITS = oracles.VerifyLimits(
+    trellis_n_max=10,
+    exhaustive_n_max=8,
+    iowe_n_max=16,
+    rowsum_n_max=10,
+    graph_configs=((2, 2, 1),),
+    closure_k_max=2,
+    closure_q_max=2,
+    closure_l_max=2,
+)
 
 
 def _alpha_grid(lo: float, hi: float, steps: int) -> Tuple[float, ...]:
@@ -311,21 +297,13 @@ def preset_sweeps(name: str) -> List[Tuple[SweepSpec, str]]:
     raise UsageError(f"unknown preset {name!r}")
 
 
-def _sweep_one(args: Tuple[SweepSpec, float]) -> AsymptoticPoint:
-    spec, alpha = args
-    query = AsymptoticQuery(
-        q=spec.q, L=spec.L, alpha=alpha, beta=spec.delta * alpha, split=spec.split
-    )
-    return r_point(query, grid_points=spec.grid_points)
-
-
 def _run_sweep(spec: SweepSpec) -> List[AsymptoticPoint]:
     workers = _workers(len(spec.alpha_grid))
     if workers <= 1:
         return sweep(spec)
-    jobs = [(spec, alpha) for alpha in spec.alpha_grid]
+    slices = [dataclasses.replace(spec, alpha_grid=(alpha,)) for alpha in spec.alpha_grid]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_one, jobs))
+        return [point for points in pool.map(sweep, slices) for point in points]
 
 
 def _open_out(path: str):
@@ -383,10 +361,7 @@ def _cmd_acc_table(args) -> int:
 def _cmd_ensemble(args) -> int:
     config = EnsembleConfig(q=args.q, K=args.K, L=args.L)
     result = ensemble.ensemble_tse(config, TrappingSetClass(args.a, args.b), args.mode)
-    if args.mode == "exact":
-        print(result.value)
-    else:
-        print(_fmt(result.value))
+    print(result.value if args.mode == "exact" else _fmt(result.value))
     return 0
 
 
@@ -431,11 +406,7 @@ def _cmd_asym_sweep(args) -> int:
         )
         jobs = [(spec, _open_out(args.out))]
     for spec, destination in jobs:
-        emit_sweep_csv(
-            rows_from_points(_run_sweep(spec), spec.L), destination,
-            q=spec.q, L=spec.L, delta=spec.delta, split=spec.split,
-            grid=asymptotic._grid_resolution(spec.L, spec.split, spec.grid_points),
-        )
+        emit_sweep_csv(spec, _run_sweep(spec), destination)
     return 0
 
 
@@ -458,28 +429,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.quick:
-        limits = oracles.VerifyLimits(
-            trellis_n_max=10,
-            exhaustive_n_max=8,
-            iowe_n_max=16,
-            rowsum_n_max=10,
-            graph_configs=((2, 2, 1),),
-            closure_k_max=2,
-            closure_q_max=2,
-            closure_l_max=2,
-        )
-    else:
-        limits = oracles.VerifyLimits(
-            trellis_n_max=args.n_closed,
-            exhaustive_n_max=args.n_exhaustive,
-            iowe_n_max=args.n_iowe,
-            rowsum_n_max=args.n_rowsum,
-            closure_k_max=args.closure_kmax,
-            closure_q_max=args.closure_qmax,
-            closure_l_max=args.closure_lmax,
-        )
-    report = oracles.verify_all(limits)
+    given = {f: getattr(args, f) for f in _LIMIT_FLAGS.values() if getattr(args, f) is not None}
+    base = _QUICK_LIMITS if args.quick else oracles.VerifyLimits()
+    report = oracles.verify_all(dataclasses.replace(base, **given))
     for comparison in report.comparisons:
         if comparison.ok:
             print(f"OK {comparison.name} ({comparison.checked} keys)")

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -300,7 +300,12 @@ def encode(
 
 @dataclass(frozen=True)
 class VerifyLimits:
-    """Domain sizes for the verification suite (defaults = full gate)."""
+    """Domain sizes for the verification suite (defaults = full gate).
+
+    Construction raises ``RangeError`` for a size limit below 1 or an
+    exhaustive limit past the exhaustive oracle's cap, so a bad limit is
+    rejected before any table is built.
+    """
 
     trellis_n_max: int = 32
     exhaustive_n_max: int = 12
@@ -311,6 +316,17 @@ class VerifyLimits:
     closure_q_max: int = 3
     closure_l_max: int = 3
     codeword_config: Tuple[int, int, int] = (2, 2, 2)
+
+    def __post_init__(self) -> None:
+        # A limit below 1 would compare no keys and read as a pass.
+        for limit in fields(self):
+            value = getattr(self, limit.name)
+            if limit.name.endswith("_max") and value < 1:
+                raise RangeError(f"{limit.name} must be >= 1, got {value}")
+        if self.exhaustive_n_max > _EXHAUSTIVE_N_MAX:
+            raise RangeError(
+                f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {self.exhaustive_n_max}"
+            )
 
 
 @dataclass(frozen=True)
@@ -393,8 +409,6 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
     the keys compared up to and including that mismatch (all keys if none).
     """
     n_ex = limits.exhaustive_n_max
-    if n_ex > _EXHAUSTIVE_N_MAX:  # rejected before any table is built
-        raise RangeError(f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {n_ex}")
     dp_tables = trellis_dp_tables(max(limits.trellis_n_max, n_ex))
     row_sums: Dict[int, Counter] = {}  # kept for the row-sum check
 

@@ -8,9 +8,13 @@ import rma_tse.acc
 import rma_tse.cli
 import rma_tse.oracles
 from rma_tse.acc import IotseTable, acc_iotse_table
-from rma_tse.asymptotic import SplitPolicy, SweepSpec
+from rma_tse.asymptotic import (
+    AsymptoticPoint,
+    LevelWitness,
+    OptimizerWitness,
+    SweepSpec,
+)
 from rma_tse.cli import (
-    SweepRow,
     _run_sweep,
     _workers,
     emit_sweep_csv,
@@ -120,6 +124,13 @@ class TestAsymCommands:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_preset_excludes_delta_exit_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "figs"
+        assert run(["asym-sweep", "--preset", "fig4", "--delta", "0.3",
+                    "--out-dir", str(out_dir)]) == 1
+        assert "not allowed with argument --preset" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestSweepCsv:
     ARGS = [
@@ -146,9 +157,8 @@ class TestSweepCsv:
 
     def test_empty_rows_metadata_and_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        emit_sweep_csv(
-            [], out, q=3, L=2, delta=0.1, split=SplitPolicy.free(), grid=33
-        )
+        spec = SweepSpec(delta=0.1, alpha_grid=(0.1,), q=3, L=2, grid_points=33)
+        emit_sweep_csv(spec, [], out)
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("#")
@@ -172,9 +182,11 @@ class TestSweepCsv:
         assert out.read_text().splitlines()[0].endswith(" grid=27")
 
     def test_r_clamped_column(self, tmp_path):
-        rows = [SweepRow(0.01, 0.0, -0.5, 0.0, 0.0, (((0.0), 0.0, 0.0, 0.0),) * 2)]
+        witness = OptimizerWitness(0.0, (LevelWitness(0.0, 0.0, 0.0, 0.0),) * 2)
+        points = [AsymptoticPoint(0.01, 0.0, -0.5, witness)]
         out = tmp_path / "c.csv"
-        emit_sweep_csv(rows, out, q=3, L=2, delta=0.0, split=SplitPolicy.free(), grid=33)
+        spec = SweepSpec(delta=0.0, alpha_grid=(0.01,), q=3, L=2, grid_points=33)
+        emit_sweep_csv(spec, points, out)
         row = out.read_text().splitlines()[2].split(",")
         assert row[2] == "-0.5" and row[3] == "0"
 
@@ -311,6 +323,32 @@ class TestVerifyCommand:
         assert run(["verify", "--n-exhaustive", "13"]) == 1
         assert "exhaustive enumeration capped at N=12, got 13" in capsys.readouterr().err
 
+    def test_quick_keeps_explicit_limits(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table past the exhaustive cap")
+
+        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        assert run(["verify", "--quick", "--n-exhaustive", "13"]) == 1
+        assert "exhaustive enumeration capped at N=12, got 13" in capsys.readouterr().err
+
+    def test_explicit_limit_refines_quick(self, capsys):
+        assert run(["verify", "--quick", "--n-closed", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "OK closed_form_vs_trellis (58 keys)" in out
+        assert "OK trellis_vs_exhaustive (604 keys)" in out  # the quick exhaustive limit
+
+    @pytest.mark.parametrize("flag", [
+        "--n-closed", "--n-exhaustive", "--n-iowe", "--n-rowsum",
+        "--closure-kmax", "--closure-qmax", "--closure-lmax",
+    ])
+    def test_limit_below_one_exit_1(self, flag, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table for a limit below 1")
+
+        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        assert run(["verify", flag, "0"]) == 1
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
@@ -376,7 +414,6 @@ class TestWorkerCount:
                 return [fn(job) for job in jobs]
 
         monkeypatch.setattr(rma_tse.cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(rma_tse.cli, "_sweep_one", lambda job: job[1])
         monkeypatch.setattr(rma_tse.cli, "sweep", lambda spec: list(spec.alpha_grid))
         return created
 
