@@ -23,10 +23,11 @@ is low-dimensional: its feasible set is a polytope in (omega, alpha_o_l,
 beta_l), and it is searched by a deterministic coarse grid followed by one
 SLSQP run from each of the best peaks of the grid (grid points that no
 neighbour beats), so that each local maximum the grid resolves is refined
-once.  The grid points are screened against the polytope's inequalities
-first, so that only the feasible ones, mostly a small share of the grid,
-reach the inner solve; one description of the polytope serves the grid,
-the refinement and its interior point.  SLSQP gets the gradient in closed
+once.  The grid is never held whole: its points are made from its axes a
+block at a time and screened against the polytope's inequalities, so that
+only the feasible ones, mostly a small share of the grid, reach the inner
+solve; one description of the polytope serves the grid, the refinement and
+its interior point.  SLSQP gets the gradient in closed
 form: by the envelope theorem the partials of f_acc are those of the inner
 objective at its optimum, logarithms of the optimal fractions.  The search
 is reproducible, but its witness is not certified globally optimal, and it
@@ -71,13 +72,11 @@ DEFAULT_GRID_POINTS = 33
 # The coarse stage caps its total candidate count; per-dimension resolution
 # is reduced below DEFAULT_GRID_POINTS only when the dimension count forces it.
 _GRID_BUDGET = 600_000
-# Rows of the coarse grid per inner solve: bounds the memory of its
-# per-root arrays without giving up vectorization.  Only the rows that pass
-# the polytope screen reach it.
-_GRID_BLOCK = 512
-# Rows of the coarse grid per polytope screen: bounds the memory of the
-# slack matrix (rows x constraints) while keeping the loop short.
-_SCREEN_BLOCK = 4096
+# Rows of the coarse grid per block: bounds the block's coordinates, its
+# slack matrix and the inner solve of its feasible rows.  4,096 rows ran the
+# grid about 5% faster at free L=3 but raised the figure queries' peak RSS
+# by 6 MiB, from inner solves of up to 2,513 feasible rows (free L=2).
+_SCREEN_BLOCK = 1024
 # A grid point that the inner solve counts as feasible meets every row of
 # ``_polytope`` to within 6 * _FEAS_TOL: ``_unpack`` accepts levels up to
 # _FEAS_TOL outside [0, 1] and clips them, which moves a row such as
@@ -90,7 +89,7 @@ _SCREEN_SLACK = 6 * _FEAS_TOL + _PIN_TOL
 # to the power of the dimension count), which every default grid up to a
 # free split at L=5 (5**9 rows) meets.  Measured on a 2-vCPU machine, an
 # r_point on a grid of about this size took at most 13 s, where half or all
-# of the rows are feasible (L=1 and L=2), and at most 370 MiB (free L=5).
+# of the rows are feasible (L=1 and L=2), and at most 155 MiB (L=1).
 _GRID_MAX_ROWS = 2_000_000
 _N_SEEDS = 8   # at most this many grid peaks, the best ones, are refined by SLSQP
 # SLSQP keeps this fraction of each constraint's slack at an interior
@@ -249,11 +248,10 @@ class SweepSpec:
 
 def f_rep(omega: float, q: int) -> float:
     """Normalized log count of repetition-code words: H(omega)/q."""
-    if omega < -_PIN_TOL or omega > 1.0 + _PIN_TOL:
-        raise DomainError(f"omega={omega!r} outside [0, 1]")
+    omega = _check_unit("omega", omega)
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
-    return binary_entropy(min(max(omega, 0.0), 1.0)) / q
+    return binary_entropy(omega) / q
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +438,8 @@ def _grid_resolution(L: int, split: SplitPolicy, grid_points: Optional[int]) -> 
     An explicit ``grid_points`` is kept (at least 2); the default shrinks
     until the grid over omega, L-1 output shares and, with a free split,
     L-1 check shares fits ``_GRID_BUDGET``.  Either way a grid of more than
-    ``_GRID_MAX_ROWS`` rows raises ``DomainError``, before anything is
-    allocated.
+    ``_GRID_MAX_ROWS`` rows raises ``DomainError``, naming the most points
+    per axis that fit, before anything is allocated.
     """
     d = L + (L - 1 if split.is_free else 0)
     if grid_points is not None:
@@ -451,17 +449,15 @@ def _grid_resolution(L: int, split: SplitPolicy, grid_points: Optional[int]) -> 
         while g > 5 and g**d > _GRID_BUDGET:
             g -= 1
     if g**d > _GRID_MAX_ROWS:
+        # The floor of the d-th root, exact also where the float root is off.
+        fit = round(_GRID_MAX_ROWS ** (1.0 / d))
+        fit -= fit**d > _GRID_MAX_ROWS
         raise DomainError(
             f"a grid of {g} points on each of {d} axes has {g**d} rows, "
-            f"over the ceiling of {_GRID_MAX_ROWS}"
+            f"over the ceiling of {_GRID_MAX_ROWS}; "
+            + (f"at most {fit} points per axis fit" if fit >= 2 else "no grid fits")
         )
     return g
-
-
-def _grid_axis(upper: float, g: int) -> np.ndarray:
-    if upper <= 0.0:
-        return np.array([0.0])
-    return np.linspace(0.0, upper, g)
 
 
 def _level_map(query: AsymptoticQuery) -> Tuple[np.ndarray, np.ndarray]:
@@ -580,35 +576,37 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
     return float(values[0]), np.einsum("vl,vln->n", slopes, K)
 
 
-def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
-    """Deterministic coarse grid; returns candidate matrix, values and shape.
+def _coords(axes: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Coordinates of the grid rows ``rows`` (flat C-order indices), one row each."""
+    index = np.unravel_index(rows, tuple(axis.size for axis in axes))
+    return np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
 
-    The candidates are the rows of the grid in C order, so ``values``
-    reshaped to ``shape`` (points per axis) is the grid.  Most rows lie
-    outside the feasible polytope, so each row is first screened against
-    the rows of ``_polytope``, ``_SCREEN_BLOCK`` rows at a time, with the
-    slack ``_SCREEN_SLACK``: every row the inner solve would count as
-    feasible passes, and the rest keep NEG_INF.  The rows that pass are
-    evaluated ``_GRID_BLOCK`` at a time, which bounds the memory of the
-    inner solve's per-root arrays; ``_unpack`` and ``_inner`` still decide
-    their feasibility, so the values are those of evaluating every row.
+
+def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
+    """Deterministic coarse grid; returns its axes, values and shape.
+
+    The grid is the product of ``axes`` (one per coordinate of ``_upper``)
+    in C order: ``values`` reshaped to ``shape`` is the grid, and
+    ``_coords`` gives the coordinates of any of its rows.  The loop makes the
+    coordinates of ``_SCREEN_BLOCK`` rows at a time and screens them against
+    ``_polytope`` with the slack ``_SCREEN_SLACK``: every row the inner
+    solve would count as feasible passes on to it, and the rest keep
+    NEG_INF.  ``_unpack`` and ``_inner`` still decide the feasibility of the
+    rows that pass, so the values are those of evaluating every row.
     """
     g = _grid_resolution(query.L, query.split, grid_points)
-    axes = [_grid_axis(upper, g) for upper in _upper(query)]
-    mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
-    cand = np.stack([m.ravel() for m in mesh], axis=1)
-
+    # A coordinate whose box is one point (upper end 0) has a one-point axis.
+    axes = [np.linspace(0.0, upper, g if upper > 0.0 else 1) for upper in _upper(query)]
+    shape = tuple(axis.size for axis in axes)
     free, A, a, _ = _polytope(query)
-    inside = np.concatenate([
-        np.all(cand[start : start + _SCREEN_BLOCK, free] @ A.T + a >= -_SCREEN_SLACK, axis=1)
-        for start in range(0, cand.shape[0], _SCREEN_BLOCK)
-    ])
-    rows = np.flatnonzero(inside)
-    values = np.full(cand.shape[0], NEG_INF)
-    for start in range(0, rows.size, _GRID_BLOCK):
-        block = rows[start : start + _GRID_BLOCK]
-        values[block] = _eval_candidate(query, cand[block])[0]
-    return cand, values, tuple(axis.size for axis in axes)
+    values = np.full(math.prod(shape), NEG_INF)
+    for start in range(0, values.size, _SCREEN_BLOCK):
+        rows = np.arange(start, min(start + _SCREEN_BLOCK, values.size))
+        x = _coords(axes, rows)
+        inside = np.all(x[:, free] @ A.T + a >= -_SCREEN_SLACK, axis=1)
+        if inside.any():
+            values[rows[inside]] = _eval_candidate(query, x[inside])[0]
+    return axes, values, shape
 
 
 def _peaks(values: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -735,13 +733,13 @@ def r_point(query: AsymptoticQuery, grid_points: Optional[int] = None) -> Asympt
     and the best grid point, compared by their true objective value.
     Infeasible queries return r = NEG_INF with no witness.
     """
-    cand, values, shape = _grid_stage(query, grid_points)
-    feasible = values > NEG_INF
-    if not feasible.any():
+    axes, values, shape = _grid_stage(query, grid_points)
+    feasible = np.flatnonzero(values > NEG_INF)
+    if not feasible.size:
         return AsymptoticPoint(query.alpha, query.beta, NEG_INF, None)
-    seeds = _peaks(values, shape)
-    ends = _refine(query, cand[seeds], cand[feasible].mean(axis=0))
-    tried = np.concatenate([cand[seeds[:1]], ends])
+    seeds = _coords(axes, _peaks(values, shape))
+    ends = _refine(query, seeds, _coords(axes, feasible).mean(axis=0))
+    tried = np.concatenate([seeds[:1], ends])
     values, (ai, ao, b, mu, nu) = _eval_candidate(query, tried)
     i = int(np.argmax(values))
     witness = OptimizerWitness(

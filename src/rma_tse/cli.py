@@ -196,15 +196,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("asym-sweep", help="constant-ratio spectral-shape sweep")
     source = p.add_mutually_exclusive_group()
-    p.add_argument("--q", type=int, default=3)
-    p.add_argument("--L", type=int, default=2)
+    # Sweep-shape flags are absent unless given; see _SWEEP_DEFAULTS.
+    absent = argparse.SUPPRESS
+    p.add_argument("--q", type=int, default=absent)
+    p.add_argument("--L", type=int, default=absent)
     source.add_argument("--delta", type=float, default=None)
-    p.add_argument("--alpha-min", type=float, default=0.01)
-    p.add_argument("--alpha-max", type=float, default=0.3)
-    p.add_argument("--alpha-steps", type=int, default=30)
-    p.add_argument("--split", default="free")
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--out", default="-")
+    p.add_argument("--alpha-min", type=float, default=absent)
+    p.add_argument("--alpha-max", type=float, default=absent)
+    p.add_argument("--alpha-steps", type=int, default=absent)
+    p.add_argument("--split", default=absent)
+    p.add_argument("--grid-points", type=int, default=absent)
+    p.add_argument("--out", default=absent)
     source.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None)
     p.add_argument("--out-dir", default=".")
 
@@ -228,6 +230,19 @@ def build_parser() -> _Parser:
 
 
 PRESET_NAMES = ("fig4", "fig5", "fig6", "fig7")
+
+# ``tse asym-sweep`` sweep-shape settings without --preset; a preset sets
+# them all itself, so it takes none of their flags.
+_SWEEP_DEFAULTS = {
+    "q": 3,
+    "L": 2,
+    "alpha_min": 0.01,
+    "alpha_max": 0.3,
+    "alpha_steps": 30,
+    "split": "free",
+    "grid_points": None,
+    "out": "-",
+}
 
 # ``tse verify`` limit flags and the VerifyLimits fields they set.
 _LIMIT_FLAGS = {
@@ -391,7 +406,11 @@ def _cmd_asym_point(args) -> int:
 
 
 def _cmd_asym_sweep(args) -> int:
+    given = ["--" + name.replace("_", "-") for name in _SWEEP_DEFAULTS if name in vars(args)]
+    args = argparse.Namespace(**{**_SWEEP_DEFAULTS, **vars(args)})
     if args.preset:
+        if given:
+            raise UsageError(f"--preset sets the whole sweep; it takes no {', '.join(given)}")
         os.makedirs(args.out_dir, exist_ok=True)
         jobs = [(spec, os.path.join(args.out_dir, filename))
                 for spec, filename in preset_sweeps(args.preset)]

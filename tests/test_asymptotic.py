@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from hypothesis import strategies as st
 from _dense_grid import facc_grid_max, sample_shape_args
 from rma_tse import asymptotic
 from rma_tse.asymptotic import (
-    _GRID_BLOCK,
     _GRID_MAX_ROWS,
     _N_SEEDS,
+    _SCREEN_BLOCK,
     DEFAULT_GRID_POINTS,
     AccShapeArgs,
     AsymptoticQuery,
     SplitPolicy,
     SweepSpec,
+    _coords,
     _eval_candidate,
     _grid_resolution,
     _grid_stage,
@@ -87,6 +89,11 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             SweepSpec(delta=0.1, alpha_grid=(0.1, bad), q=3, L=2)
 
+    def test_f_rep(self, bad):
+        # NaN passed both range comparisons and came back as NaN.
+        with pytest.raises(DomainError):
+            f_rep(bad, 2)
+
 
 class TestGridResolution:
     def test_default_fits_budget(self):
@@ -103,9 +110,12 @@ class TestGridResolution:
     def test_ceiling(self):
         free = SplitPolicy.free()
         assert 7**7 <= _GRID_MAX_ROWS and _grid_resolution(5, free, None) == 5
-        for L, grid_points in [(3, 60), (4, 9), (1, _GRID_MAX_ROWS + 1), (6, None)]:
-            with pytest.raises(DomainError, match="ceiling"):
+        for L, grid_points, fit in [(3, 60, 18), (4, 9, 7), (1, _GRID_MAX_ROWS + 1, _GRID_MAX_ROWS),
+                                    (6, None, 3)]:
+            with pytest.raises(DomainError, match=f"ceiling.*; at most {fit} points per axis fit"):
                 _grid_resolution(L, free, grid_points)
+        with pytest.raises(DomainError, match="ceiling.*; no grid fits"):
+            _grid_resolution(11, free, 2)  # 2**21 rows
         with pytest.raises(DomainError, match="ceiling"):
             SweepSpec(delta=0.1, alpha_grid=(0.1,), q=3, L=3, grid_points=60)
 
@@ -113,7 +123,7 @@ class TestGridResolution:
         def unreachable(*args, **kwargs):
             raise AssertionError("built a grid past the ceiling")
 
-        monkeypatch.setattr(np, "meshgrid", unreachable)
+        monkeypatch.setattr(np, "linspace", unreachable)
         with pytest.raises(DomainError, match="ceiling"):
             r_point(AsymptoticQuery(q=3, L=3, alpha=0.1, beta=0.01), grid_points=60)
 
@@ -471,19 +481,26 @@ def _fixed_split(L, weights):
     return SplitPolicy.fixed(tuple(w / total for w in shares))
 
 
+def _candidates(axes):
+    """The full candidate matrix of a grid: one row per grid point, in C order."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def _unscreened(query, cand):
     """Grid values with every row evaluated, as before the polytope screen."""
     values = np.full(cand.shape[0], NEG_INF)
-    for start in range(0, cand.shape[0], _GRID_BLOCK):
-        block = cand[start : start + _GRID_BLOCK]
-        ok = _unpack(query, block)[1]
-        values[start : start + _GRID_BLOCK][ok] = _eval_candidate(query, block[ok])[0]
+    for start in range(0, cand.shape[0], 512):
+        rows = slice(start, start + 512)
+        ok = _unpack(query, cand[rows])[1]
+        values[rows][ok] = _eval_candidate(query, cand[rows][ok])[0]
     return values
 
 
 def _assert_screen_exact(query, grid_points=None):
-    cand, values, shape = _grid_stage(query, grid_points)
+    axes, values, shape = _grid_stage(query, grid_points)
+    cand = _candidates(axes)
     assert cand.shape == (math.prod(shape), _upper(query).size)
+    assert np.array_equal(_coords(axes, np.arange(cand.shape[0])), cand)
     assert np.array_equal(values, _unscreened(query, cand))
 
 
@@ -541,8 +558,20 @@ class TestGridScreen:
         values = _grid_stage(query, grid_points)[1]
         # Fails without the screen: 18,513 rows against 4,262 feasible ones
         # on the free L=2 query at alpha = 0.1.
-        assert max(rows) <= _GRID_BLOCK
+        assert max(rows) <= _SCREEN_BLOCK
         assert sum(rows) == np.count_nonzero(values > NEG_INF)
+
+    def test_holds_no_full_grid(self):
+        # 279,936 rows on 7 axes; the grid stage peaked at 34.2 MiB when it
+        # built the candidate matrix and the meshgrid arrays.
+        tracemalloc.start()
+        try:
+            axes, values, _ = _grid_stage(self.EDGE_CASES["free-L4"], None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (values.size, len(axes)) == (279_936, 7)
+        assert peak < values.size * len(axes) * np.dtype(float).itemsize
 
 
 class TestRPointProperties:
@@ -586,7 +615,8 @@ class TestRPointProperties:
         # The seed rule the peaks replaced: SLSQP from the 8 best grid points.
         split = SplitPolicy.free() if free else _fixed_split(L, weights)
         query = AsymptoticQuery(q=3, L=L, alpha=alpha, beta=delta * alpha, split=split)
-        cand, values, _ = _grid_stage(query, None)
+        axes, values, _ = _grid_stage(query, None)
+        cand = _candidates(axes)
         feasible = values > NEG_INF
         best = np.argsort(-values, kind="stable")[: min(8, int(feasible.sum()))]
         ends = _refine(query, cand[best], cand[feasible].mean(axis=0))

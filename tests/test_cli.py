@@ -131,6 +131,20 @@ class TestAsymCommands:
         assert "not allowed with argument --preset" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--q", "7"), ("--L", "3"), ("--alpha-min", "0.05"), ("--alpha-max", "0.2"),
+        ("--alpha-steps", "5"), ("--split", "free"), ("--grid-points", "9"), ("--out", "x.csv"),
+    ])
+    def test_preset_rejects_sweep_flags_exit_1(self, flag, value, tmp_path, capsys, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("ran a sweep")
+
+        monkeypatch.setattr(rma_tse.cli, "_run_sweep", unreachable)
+        out_dir = tmp_path / "figs"
+        assert run(["asym-sweep", "--preset", "fig6", flag, value, "--out-dir", str(out_dir)]) == 1
+        assert f"takes no {flag}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestSweepCsv:
     ARGS = [
