@@ -33,7 +33,10 @@ all classes of block length N share.  ``_factor_rows`` keeps these rows per
 ``binom`` and ``mul``.  A class count is then one product-sum over the
 m-range of three rows, A * (B * C) term by term: the grouping of the four
 binomials above, so exact counts and log values are unchanged.  A single
-class at a large N still makes no more entries than it has terms.  At most
+class at a large N still makes no more entries than it has terms.  A full
+table, in either domain, makes the product row B[d] * C[h] of each (a_i, b)
+once and shares it across every a_o: the same terms in the same order as
+the single-class sum, so its entries equal ``acc_iotse`` bit for bit.  At most
 ``_ROW_CACHE_SIZE`` (domain, N) pairs are kept, the least recently used
 leaving first.
 """
@@ -234,11 +237,13 @@ def _factor_rows(binom: Callable, mul: Callable, N: int) -> Tuple[_Memo, _Memo, 
     )
 
 
-def _count(dom: _Domain, N: int, a_i: int, a_o: int, b: int):
-    """Count of class (a_i, a_o, b) in ``dom``: the single sum over m.
+def _m_range(N: int, d: int, h: int, cap: int) -> range:
+    """The m with every binomial of a class term nonzero; cap = min(a_o, N - a_o)."""
+    return range(max(1, abs(d)), min(cap, h, N - h) + 1)
 
-    Inside the m-range every binomial is nonzero, so every term is positive.
-    """
+
+def _count(dom: _Domain, N: int, a_i: int, a_o: int, b: int):
+    """Count of class (a_i, a_o, b) in ``dom``: the single sum over m."""
     if (a_i + b) % 2:
         return dom.zero
     if a_o == 0:
@@ -246,7 +251,7 @@ def _count(dom: _Domain, N: int, a_i: int, a_o: int, b: int):
         # 1/1/0 self-loop contributing one unsatisfied check.
         return dom.binom(N, a_i) if a_i == b else dom.zero
     h, d = (a_i + b) // 2, (a_i - b) // 2
-    ms = range(max(1, abs(d)), min(a_o, N - a_o, h, N - h) + 1)
+    ms = _m_range(N, d, h, min(a_o, N - a_o))
     by_ao, by_d, by_h = _factor_rows(dom.binom, dom.mul, N)
     return dom.total(map(
         dom.mul,
@@ -291,13 +296,27 @@ def acc_iotse_table(N: int, mode: str = "exact") -> IotseTable:
         raise ResourceLimitError(
             f"{mode} table for N={N} exceeds ceiling {EXACT_TABLE_N_MAX}"
         )
+    mul, total = dom.mul, dom.total
+    by_ao, by_d, by_h = _factor_rows(dom.binom, mul, N)
+    # A[a_o][m] for m <= min(a_o, N - a_o); a_o = N never occurs (termination).
+    A = [list(map(by_ao[a_o].__getitem__, range(min(a_o, N - a_o) + 1))) for a_o in range(N)]
     entries: Dict[Tuple[int, int, int], Union[BigCount, LogValue]] = {}
     for a_i in range(N + 1):
-        for a_o in range(N):  # a_o = N never occurs under termination
-            for b in range(a_i % 2, N + 1, 2):  # a_i + b must be even
-                v = _count(dom, N, a_i, a_o, b)
-                if v != dom.zero:
-                    entries[(a_i, a_o, b)] = v
+        entries[(a_i, 0, a_i)] = dom.binom(N, a_i)  # a_o = 0: see _count
+        # (b, lo, bc) with bc[m - lo] = B[d][m] * C[h][m], one per (d, h) and
+        # shared by every a_o; a_i + b must be even.
+        rows = []
+        for b in range(a_i % 2, N + 1, 2):
+            h, d = (a_i + b) // 2, (a_i - b) // 2
+            ms = _m_range(N, d, h, N)
+            if ms:
+                bc = list(map(mul, map(by_d[d].__getitem__, ms), map(by_h[h].__getitem__, ms)))
+                rows.append((b, ms.start, bc))
+        for a_o in range(1, N):
+            A_row, cap = A[a_o], min(a_o, N - a_o)
+            for b, lo, bc in rows:
+                if lo <= cap:  # map stops at the shorter row: m <= min(cap, h, N - h)
+                    entries[(a_i, a_o, b)] = total(map(mul, A_row[lo:], bc))
     return IotseTable(N=N, mode=mode, entries=entries)
 
 
@@ -315,7 +334,7 @@ def decompositions(triple: AccTriple) -> List[Tuple[PathDecomposition, BigCount]
         return [(PathDecomposition(m=0, n=a_i, w_t=0, w_11=0), binomial(N, a_i))]
     half_sum = (a_i + b) // 2
     out = []
-    for m in range(max(1, abs(a_i - b) // 2), min(a_o, N - a_o) + 1):
+    for m in _m_range(N, (a_i - b) // 2, half_sum, min(a_o, N - a_o)):
         w_t = (a_i - b) // 2 + m
         for n in range(max(0, half_sum - a_o), min(N - a_o - m, half_sum - m) + 1):
             w_11 = half_sum - n - m

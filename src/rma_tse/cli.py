@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from . import acc, asymptotic, ensemble, oracles
@@ -92,27 +93,34 @@ def emit_sweep_csv(spec: SweepSpec, points: Iterable[AsymptoticPoint], destinati
 
 
 def _value_str(value) -> str:
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return str(value)  # "5" or "2/3"
-    if isinstance(value, int):
-        return str(value)
     return repr(float(value))  # log-mode tables carry ln values
 
 
-def emit_table_json(kind: str, params: Dict, entries: Dict, destination) -> None:
-    """Serialize a table as {"kind", "params", "entries"} with sorted keys.
+# One entry of a table's JSON: a key of ints and a value string.
+_ENTRY = '    {\n      "key": [\n        %s\n      ],\n      "value": %s\n    }'
 
+
+def emit_table_json(kind: str, params: Dict, entries: Dict, destination) -> None:
+    """Serialize a table as {"entries", "kind", "params"}, written directly.
+
+    The fixed layout is that of ``json.dumps(payload, indent=2,
+    sort_keys=True)`` plus a newline: entries in ascending key order, each
+    ``{"key": [ints], "value": "string"}`` with one line per list element.
     Exact values are decimal integer or "num/den" strings, never floats.
     """
-    payload = {
-        "kind": kind,
-        "params": params,
-        "entries": [
-            {"key": list(key), "value": _value_str(value)}
-            for key, value in sorted(entries.items())
-        ],
-    }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", destination)
+    body = ",\n".join(
+        _ENTRY % (",\n        ".join(map(str, key)), encode_basestring_ascii(_value_str(value)))
+        for key, value in sorted(entries.items())
+    )
+    text = (
+        '{\n  "entries": ' + ("[\n" + body + "\n  ]" if body else "[]")
+        + ',\n  "kind": ' + encode_basestring_ascii(kind)
+        + ',\n  "params": ' + json.dumps(params, indent=2, sort_keys=True).replace("\n", "\n  ")
+        + "\n}\n"
+    )
+    _write(text, destination)
 
 
 def parse_table_json(text: str) -> Tuple[str, Dict, Dict]:
@@ -158,33 +166,22 @@ def _workers(jobs: int) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="tse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    p = sub.add_parser("acc", help="one accumulator trapping-set class count")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--ai", type=int, required=True)
-    p.add_argument("--ao", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "log"), default="exact")
+    def command(name: str, summary: str, ints: Sequence[str], table: bool = False) -> _Parser:
+        """A subcommand with required integer flags, then --mode (and --out for a table)."""
+        p = sub.add_parser(name, help=summary)
+        for flag in ints:
+            p.add_argument("--" + flag, type=int, required=True)
+        p.add_argument("--mode", choices=("exact", "log"), default="exact")
+        if table:
+            p.add_argument("--out", default="-")
+        return p
 
-    p = sub.add_parser("acc-table", help="all accumulator class counts for one N")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "log"), default="exact")
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("ensemble", help="ensemble-average count of one (a, b) class")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "log"), default="exact")
-
-    p = sub.add_parser("ensemble-table", help="all ensemble-average class counts")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "log"), default="exact")
-    p.add_argument("--out", default="-")
+    command("acc", "one accumulator trapping-set class count", ("N", "ai", "ao", "b"))
+    command("acc-table", "all accumulator class counts for one N", ("N",), table=True)
+    command("ensemble", "ensemble-average count of one (a, b) class", ("q", "K", "L", "a", "b"))
+    command("ensemble-table", "all ensemble-average class counts", ("q", "K", "L"), table=True)
 
     p = sub.add_parser("asym-point", help="spectral shape r(alpha, beta)")
     p.add_argument("--q", type=int, required=True)
@@ -278,38 +275,18 @@ def _alpha_grid(lo: float, hi: float, steps: int) -> Tuple[float, ...]:
 
 def preset_sweeps(name: str) -> List[Tuple[SweepSpec, str]]:
     """Figure-style sweep bundles (q defaults to 3 where unspecified)."""
+    presets = {  # (delta, q, L, split fractions, file name) of each sweep
+        "fig4": [(d, 3, 2, (0.5, 0.5), f"fig4_delta{_fmt(d)}.csv") for d in (0.0, 0.05, 0.1, 0.2)],
+        "fig5": [(0.1, 3, 2, (f1, 1.0 - f1), f"fig5_beta1_{_fmt(f1)}.csv")
+                 for f1 in (0.0, 0.25, 0.5, 0.75, 1.0)],
+        "fig6": [(0.1, q, 2, (1.0, 0.0), f"fig6_q{q}.csv") for q in (2, 3, 4, 5)],
+        "fig7": [(0.1, 3, L, (1.0,) + (0.0,) * (L - 1), f"fig7_L{L}.csv") for L in (2, 3, 4)],
+    }
+    if name not in presets:
+        raise UsageError(f"unknown preset {name!r}")
     grid = _alpha_grid(0.01, 0.3, 30)
-    if name == "fig4":
-        return [
-            (SweepSpec(delta=d, alpha_grid=grid, q=3, L=2,
-                       split=SplitPolicy.fixed((0.5, 0.5))),
-             f"fig4_delta{_fmt(d)}.csv")
-            for d in (0.0, 0.05, 0.1, 0.2)
-        ]
-    if name == "fig5":
-        return [
-            (SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=2,
-                       split=SplitPolicy.fixed((f1, 1.0 - f1))),
-             f"fig5_beta1_{_fmt(f1)}.csv")
-            for f1 in (0.0, 0.25, 0.5, 0.75, 1.0)
-        ]
-    if name == "fig6":
-        return [
-            (SweepSpec(delta=0.1, alpha_grid=grid, q=q, L=2,
-                       split=SplitPolicy.fixed((1.0, 0.0))),
-             f"fig6_q{q}.csv")
-            for q in (2, 3, 4, 5)
-        ]
-    if name == "fig7":
-        out = []
-        for L in (2, 3, 4):
-            split = SplitPolicy.fixed(tuple([1.0] + [0.0] * (L - 1)))
-            out.append(
-                (SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=L, split=split),
-                 f"fig7_L{L}.csv")
-            )
-        return out
-    raise UsageError(f"unknown preset {name!r}")
+    return [(SweepSpec(delta=d, alpha_grid=grid, q=q, L=L, split=SplitPolicy.fixed(split)), path)
+            for d, q, L, split, path in presets[name]]
 
 
 def _run_sweep(spec: SweepSpec) -> List[AsymptoticPoint]:
@@ -325,37 +302,49 @@ def _open_out(path: str):
     return sys.stdout if path == "-" else path
 
 
-def _load_config_args(argv: List[str]) -> List[str]:
-    """Expand ``--config FILE`` into leading defaults (later args win)."""
+def _apply_config(parser: _Parser, argv: List[str]) -> List[str]:
+    """Drop ``--config FILE`` from argv; each ``key=value`` line defaults the flag ``--key``.
+
+    The defaults belong to the subcommand, so an explicit flag wins and a
+    required flag may come from the file.  A flag absent unless given (the
+    sweep shape of ``asym-sweep``) stays absent: its line goes to ``args.config``.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise UsageError("--config requires a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2:]
-    injected: List[str] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"bad config line {line!r} (want key=value)")
-                key, value = (part.strip() for part in line.split("=", 1))
-                flag = "--" + key.replace("_", "-")
-                if value.lower() in ("true", "false"):
-                    if value.lower() == "true":
-                        injected.append(flag)
-                else:
-                    injected += [flag, value]
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
-    # Keep the subcommand first, then config defaults, then explicit args.
-    if rest and not rest[0].startswith("-"):
-        return [rest[0]] + injected + rest[1:]
-    return injected + rest
+    path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+    name = next((arg for arg in argv if not arg.startswith("-")), None)
+    if name not in parser.commands:
+        return argv  # argparse reports the missing or unknown subcommand
+    command = parser.commands[name]
+    flags = {flag: action for action in command._actions for flag in action.option_strings}
+    with open(path, "r", encoding="utf-8") as fh:  # run() reports an OSError
+        lines = [line.strip() for line in fh]
+    defaults, config = {}, {}
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line {line!r} (want key=value)")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        action = flags.get("--" + key.replace("_", "-"))
+        if action is None or action.dest == "help":
+            raise UsageError(f"config key {key!r} names no flag of tse {name}")
+        try:
+            if action.nargs == 0:  # an on/off flag
+                value = {"true": action.const, "false": action.default}[raw.lower()]
+            else:
+                value = action.type(raw) if action.type else raw
+                if value not in (action.choices or [value]):
+                    raise ValueError
+        except (KeyError, ValueError):
+            raise UsageError(f"config key {key!r}: bad value {raw!r}") from None
+        action.required = False
+        (config if action.default is argparse.SUPPRESS else defaults)[action.dest] = value
+    command.set_defaults(config=config, **defaults)
+    return argv
 
 
 def _cmd_acc(args) -> int:
@@ -407,7 +396,8 @@ def _cmd_asym_point(args) -> int:
 
 def _cmd_asym_sweep(args) -> int:
     given = ["--" + name.replace("_", "-") for name in _SWEEP_DEFAULTS if name in vars(args)]
-    args = argparse.Namespace(**{**_SWEEP_DEFAULTS, **vars(args)})
+    config = getattr(args, "config", {})  # config lines never count as given
+    args = argparse.Namespace(**{**_SWEEP_DEFAULTS, **config, **vars(args)})
     if args.preset:
         if given:
             raise UsageError(f"--preset sets the whole sweep; it takes no {', '.join(given)}")
@@ -478,7 +468,7 @@ def run(argv: Sequence[str]) -> int:
     """Parse, dispatch, and map every failure onto the exit-code contract."""
     parser = build_parser()
     try:
-        args = parser.parse_args(_load_config_args(list(argv)))
+        args = parser.parse_args(_apply_config(parser, list(argv)))
         return _DISPATCH[args.command](args)
     except (UsageError, RangeError, DomainError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

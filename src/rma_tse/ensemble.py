@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .acc import _EXACT, RangeError, ResourceLimitError, _count, _Domain, _domain, _Memo
+from .acc import (
+    _EXACT, RangeError, ResourceLimitError, _count, _Domain, _domain, _Memo, acc_iotse_table,
+)
 from .combinatorics import ExactRatio, LogValue
 
 __all__ = [
@@ -248,15 +250,12 @@ def ensemble_table(
     """
     dom = _domain_within(config, mode, EXACT_TABLE_N_MAX)
     N = config.N
-    rows: Dict[int, list] = {}  # every class of the component, by a_i
+    rows: Dict[int, list] = {}  # every nonzero class of the component, by a_i
+    for (a_i, a_o, b_l), cnt in acc_iotse_table(N, mode).entries.items():
+        rows.setdefault(a_i, []).append((a_o, b_l, cnt))
 
     def moves(level: int, key: tuple, counts: _Counts):
-        a_i = key[0]
-        if a_i not in rows:
-            rows[a_i] = _nonzero(counts, a_i, (
-                (a_o, b_l) for a_o in range(N) for b_l in range(a_i % 2, N + 1, 2)
-            ))
-        return rows[a_i]
+        return rows.get(key[0], ())
 
     by_class: Dict[Tuple[int, int], list] = {}
     for key, value in _forward(config, dom, range(config.K + 1), moves).items():

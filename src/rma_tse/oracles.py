@@ -85,24 +85,9 @@ def _trellis_states(n_max: int):
         yield k, states
 
 
-def _table_from_states(k: int, states) -> IotseTable:
-    entries = {
-        (a_i, a_o, b): cnt
-        for (s, a_i, a_o, b), cnt in states.items()
-        if s == 0
-    }
-    return IotseTable(N=k, mode="exact", entries=entries)
-
-
 def trellis_dp(N: int) -> IotseTable:
     """Exact class counts by walking every terminated extended-trellis path."""
-    if N < 1:
-        raise RangeError(f"block length must be >= 1, got {N}")
-    if N > TRELLIS_N_MAX:
-        raise ResourceLimitError(f"trellis DP capped at N={TRELLIS_N_MAX}")
-    for k, states in _trellis_states(N):
-        pass
-    return _table_from_states(N, states)
+    return trellis_dp_tables(N)[N]
 
 
 def trellis_dp_tables(n_max: int) -> Dict[int, IotseTable]:
@@ -115,7 +100,12 @@ def trellis_dp_tables(n_max: int) -> Dict[int, IotseTable]:
         raise RangeError(f"block length must be >= 1, got {n_max}")
     if n_max > TRELLIS_N_MAX:
         raise ResourceLimitError(f"trellis DP capped at N={TRELLIS_N_MAX}")
-    return {k: _table_from_states(k, states) for k, states in _trellis_states(n_max)}
+    return {
+        k: IotseTable(N=k, mode="exact", entries={
+            (a_i, a_o, b): cnt for (s, a_i, a_o, b), cnt in states.items() if s == 0
+        })
+        for k, states in _trellis_states(n_max)
+    }
 
 
 # ---------------------------------------------------------------------------

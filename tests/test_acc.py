@@ -176,6 +176,26 @@ class TestAccIotseTable:
             assert a_o <= 8  # final output node excluded by termination
             assert (a_i + b) % 2 == 0
 
+    @pytest.mark.parametrize("mode, n", [
+        *[("exact", n) for n in range(1, 21)],
+        *[("log", n) for n in range(1, 21)],
+        ("log", 40),
+    ])
+    def test_table_loop_equals_class_counts(self, mode, n):
+        # The shared-row table loop and the single-class sum add the same
+        # terms in the same order: equal integers and bit-identical logs.
+        entries = acc_iotse_table(n, mode).entries
+        keys = list(entries)
+        assert keys == sorted(keys)
+        for key, value in entries.items():
+            assert repr(value) == repr(acc_iotse(AccTriple(n, *key), mode))
+        zero = 0 if mode == "exact" else NEG_INF
+        for a_i in range(n + 1):
+            for a_o in range(n + 1):
+                for b in range(a_i % 2, n + 1, 2):
+                    if (a_i, a_o, b) not in entries:
+                        assert acc_iotse(AccTriple(n, a_i, a_o, b), mode) == zero
+
     def test_exact_ceiling(self):
         with pytest.raises(ResourceLimitError):
             acc_iotse_table(513)
@@ -185,6 +205,7 @@ class TestAccIotseTable:
             raise AssertionError("counted a class past the ceiling")
 
         monkeypatch.setattr(rma_tse.acc, "_count", unreachable)
+        monkeypatch.setattr(rma_tse.acc, "_factor_rows", unreachable)
         with pytest.raises(ResourceLimitError, match="log table"):
             acc_iotse_table(513, "log")
 

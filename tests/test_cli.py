@@ -1,8 +1,11 @@
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rma_tse.acc
 import rma_tse.cli
@@ -271,6 +274,75 @@ class TestTableJson:
         assert entries == acc_iotse_table(6, "log").entries
 
 
+_TABLE_VALUES = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.fractions(),
+    st.floats(allow_nan=False),
+    st.sampled_from([1e-05, -2.5e-300, 1e16, -0.0]),
+)
+_TABLE_KEYS = st.one_of(
+    st.tuples(st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)),
+)
+
+
+class TestTableWriter:
+    """The direct writer makes the text of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @staticmethod
+    def _dumps(kind, params, entries):
+        payload = {
+            "kind": kind,
+            "params": params,
+            "entries": [
+                {"key": list(key), "value": rma_tse.cli._value_str(value)}
+                for key, value in sorted(entries.items())
+            ],
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kind=st.text(max_size=8),
+        params=st.dictionaries(st.text(max_size=6), st.one_of(st.text(max_size=6), st.integers()),
+                               max_size=4),
+        entries=st.dictionaries(_TABLE_KEYS, _TABLE_VALUES, max_size=12),
+    )
+    def test_matches_json_dumps(self, kind, params, entries):
+        out = io.StringIO()
+        emit_table_json(kind, params, entries, out)
+        assert out.getvalue() == self._dumps(kind, params, entries)
+
+    def test_empty_table_and_params(self):
+        out = io.StringIO()
+        emit_table_json("iotse", {}, {}, out)
+        assert out.getvalue() == self._dumps("iotse", {}, {}) == (
+            '{\n  "entries": [],\n  "kind": "iotse",\n  "params": {}\n}\n'
+        )
+
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert run(["acc-table", "--N", "7", "--mode", "log"]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert run(["acc-table", "--N", "7", "--mode", "log", "--out", str(out)]) == 0
+        assert out.read_bytes() == stdout
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["acc-table", "--N", "48"],
+         "ea78e4d5cb1ecdfa02cfb22f2149c2fa2d9930fd2830db04a0bf75b14385a239"),
+        (["acc-table", "--N", "40", "--mode", "log"],
+         "ad31d1a3365b96688833fe9f49be2f9085727638060c47f8fc128ee3b23496be"),
+        (["ensemble-table", "--q", "2", "--K", "12", "--L", "2"],
+         "d1c7b7e31de11b7ad4b4c5d81ade102c3f6c04a8827a85346254ac7c87d4edc4"),
+        (["ensemble-table", "--q", "2", "--K", "10", "--L", "2", "--mode", "log"],
+         "8445a15a9d622c535a24bb47ed84614fec5c8eefc544b832370ff50b06b257b1"),
+    ])
+    def test_benchmark_table_bytes_pinned(self, argv, digest, capsys):
+        # The tables whose bytes the benchmark checks.
+        assert run(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestOracleCommand:
     def test_trellis(self, capsys):
         assert run(["oracle", "--which", "trellis", "--N", "1"]) == 0
@@ -380,6 +452,61 @@ class TestConfigFile:
             "--mode", "exact",
         ]) == 0
         assert capsys.readouterr().out.strip() == "5"
+
+    def test_config_delta_with_preset(self, tmp_path, monkeypatch):
+        # Config lines are defaults, not flags: a config delta cannot clash
+        # with --preset, and config sweep-shape lines do not count as given.
+        ran = []
+        monkeypatch.setattr(rma_tse.cli, "_run_sweep", lambda spec: ran.append(spec) or [])
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text("delta=0.3\nq=7\nalpha_steps=5\n")
+        out_dir = tmp_path / "figs"
+        assert run(["asym-sweep", "--config", str(cfg), "--preset", "fig4",
+                    "--out-dir", str(out_dir)]) == 0
+        assert [spec.delta for spec in ran] == [0.0, 0.05, 0.1, 0.2]
+        assert all(spec.q == 3 and len(spec.alpha_grid) == 30 for spec in ran)
+
+    def test_config_sweep_shape_without_preset(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(rma_tse.cli, "_run_sweep", lambda spec: ran.append(spec) or [])
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text("delta=0.3\nq=7\nalpha_steps=5\n")
+        out = tmp_path / "s.csv"
+        assert run(["asym-sweep", "--config", str(cfg), "--q", "4", "--out", str(out)]) == 0
+        (spec,) = ran
+        assert (spec.delta, spec.q, len(spec.alpha_grid)) == (0.3, 4, 5)
+
+    def test_explicit_sweep_flag_with_preset_still_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text("q=7\n")
+        assert run(["asym-sweep", "--config", str(cfg), "--preset", "fig4", "--q", "7",
+                    "--out-dir", str(tmp_path / "figs")]) == 1
+        assert "takes no --q" in capsys.readouterr().err
+
+    def test_config_supplies_required_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text("N=3\nao=1\n")
+        assert run(["acc", "--config", str(cfg), "--ai", "2", "--b", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "2"
+
+    @pytest.mark.parametrize("line, message", [
+        ("nope=3", "config key 'nope' names no flag of tse acc"),
+        ("alpha=0.1", "config key 'alpha' names no flag of tse acc"),
+        ("mode=fast", "config key 'mode': bad value 'fast'"),
+        ("N=many", "config key 'N': bad value 'many'"),
+    ])
+    def test_bad_config_key_exit_1(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text(line + "\n")
+        assert run(["acc", "--config", str(cfg), "--N", "3", "--ai", "2", "--ao", "1",
+                    "--b", "0"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_config_on_off_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text("quick=true\n")
+        assert run(["verify", "--config", str(cfg), "--n-closed", "4"]) == 0
+        assert "OK trellis_vs_exhaustive (604 keys)" in capsys.readouterr().out
 
     def test_missing_config(self):
         assert run(["acc", "--config", "/nonexistent", "--N", "1", "--ai", "0", "--ao", "0", "--b", "0"]) == 1
