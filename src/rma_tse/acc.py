@@ -145,8 +145,11 @@ class AccTriple:
     b: int
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise RangeError(f"block length must be >= 1, got {self.N}")
+        N = self.N
+        if 1 <= N and 0 <= self.a_i <= N and 0 <= self.a_o <= N and 0 <= self.b <= N:
+            return  # the common case, in one chained comparison
+        if N < 1:
+            raise RangeError(f"block length must be >= 1, got {N}")
         for name in ("a_i", "a_o", "b"):
             v = getattr(self, name)
             if not 0 <= v <= self.N:

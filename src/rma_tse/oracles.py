@@ -52,6 +52,7 @@ __all__ = [
 TRELLIS_N_MAX = 48
 GRAPH_OP_BUDGET = 10**9
 _EXHAUSTIVE_N_MAX = 12
+_EXHAUSTIVE_BLOCK = 64  # inputs per exhaustive tally block
 
 # A permutation is a 0-based tuple p with v[k] = y[p[k]].
 Permutation = Tuple[int, ...]
@@ -67,27 +68,63 @@ def _validate_permutation(perm: Sequence[int], n: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _trellis_states(n_max: int):
-    """Yield (k, states) after each trellis section.
+    """Yield (k, counts) after each trellis section, for k = 1..n_max.
 
-    ``states`` maps (state, a_i, a_o, b) to the exact number of length-k
-    prefix paths from state 0 carrying that signature.
+    ``counts[a_i, a_o, b]`` is the exact number of length-k prefix paths from
+    state 0 that end in state 0 and carry that signature.  It is a view into
+    the walk's one array, valid until the next section is walked.
     """
-    states: Dict[Tuple[int, int, int, int], int] = {(0, 0, 0, 0): 1}
+    if n_max < 1:
+        raise RangeError(f"block length must be >= 1, got {n_max}")
+    if n_max > TRELLIS_N_MAX:
+        raise ResourceLimitError(f"trellis DP capped at N={TRELLIS_N_MAX}")
+    # Every count at k <= n, and each partial sum u, v below, is at most
+    # C(n, n//2) * 2^n: C(k, a_o) output subsets of weight a_o times 2^k input
+    # subsets.  That is below 2^63 up to n = 32.  Past it int64 would wrap
+    # silently, with no warning, so the walk holds Python ints instead.
+    fits_int64 = math.comb(n_max, n_max // 2) << n_max < 1 << 63
+    dp = np.zeros((2,) + (n_max + 1,) * 3, dtype=np.int64 if fits_int64 else object)
+    dp[0, 0, 0, 0] = 1  # over (state, a_i, a_o, b)
     for k in range(1, n_max + 1):
-        nxt: Dict[Tuple[int, int, int, int], int] = {}
-        for (s, a_i, a_o, b), cnt in states.items():
-            for s_i in (0, 1):
-                for s_o in (0, 1):
-                    c = s_i ^ s ^ s_o
-                    key = (s_o, a_i + s_i, a_o + s_o, b + c)
-                    nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-        yield k, states
+        s0, s1 = dp[0, :k, :k, :k], dp[1, :k, :k, :k]
+        # The edge from state s on input bit s_i to state s_o has check bit
+        # c = s_i ^ s ^ s_o: c0 = s_i ^ s_o from state 0 and 1 - c0 from
+        # state 1.  u sums both states' counts for c0 = 0 and v for c0 = 1,
+        # each shifted in b by its own c.
+        u = np.zeros((k, k, k + 1), dtype=dp.dtype)
+        v = np.zeros_like(u)
+        u[..., :k] = s0
+        u[..., 1:] += s1
+        v[..., 1:] = s0
+        v[..., :k] += s1
+        to0 = dp[0, : k + 1, :k, : k + 1]  # s_o = 0: c0 = s_i
+        to0[...] = 0
+        to0[:k] += u
+        to0[1:] += v
+        to1 = dp[1, : k + 1, 1 : k + 1, : k + 1]  # s_o = 1: c0 = 1 - s_i, a_o + 1
+        to1[...] = 0
+        to1[:k] += v
+        to1[1:] += u
+        yield k, dp[0, : k + 1, : k + 1, : k + 1]
+
+
+def _nonzero_items(counts: np.ndarray):
+    """(index tuple, Python int) of every nonzero cell of a dense count array,
+    in ascending index order."""
+    nonzero = np.nonzero(counts)
+    return zip(zip(*(axis.tolist() for axis in nonzero)), counts[nonzero].tolist())
+
+
+def _harvest(N: int, counts: np.ndarray) -> IotseTable:
+    """The class table of a dense (a_i, a_o, b) count array."""
+    return IotseTable(N=N, mode="exact", entries=dict(_nonzero_items(counts)))
 
 
 def trellis_dp(N: int) -> IotseTable:
     """Exact class counts by walking every terminated extended-trellis path."""
-    return trellis_dp_tables(N)[N]
+    for k, counts in _trellis_states(N):
+        pass
+    return _harvest(k, counts)
 
 
 def trellis_dp_tables(n_max: int) -> Dict[int, IotseTable]:
@@ -96,16 +133,7 @@ def trellis_dp_tables(n_max: int) -> Dict[int, IotseTable]:
     Length-k prefixes ending in state 0 are exactly the terminated length-k
     paths, so the harvest at position k equals ``trellis_dp(k)``.
     """
-    if n_max < 1:
-        raise RangeError(f"block length must be >= 1, got {n_max}")
-    if n_max > TRELLIS_N_MAX:
-        raise ResourceLimitError(f"trellis DP capped at N={TRELLIS_N_MAX}")
-    return {
-        k: IotseTable(N=k, mode="exact", entries={
-            (a_i, a_o, b): cnt for (s, a_i, a_o, b), cnt in states.items() if s == 0
-        })
-        for k, states in _trellis_states(n_max)
-    }
+    return {k: _harvest(k, counts) for k, counts in _trellis_states(n_max)}
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +144,30 @@ def exhaustive_acc(N: int) -> IotseTable:
     """Tally (|I|, |O|, b) over all input subsets I of the N positions and
     output subsets O of positions 1..N-1 (the final node is excluded by
     termination).  Check k is unsatisfied iff [k in I] ^ [k-1 in O] ^ [k in O].
+
+    The pairs are tallied ``_EXHAUSTIVE_BLOCK`` inputs at a time, so no
+    input x output matrix is ever held whole.
     """
     if N < 1:
         raise RangeError(f"block length must be >= 1, got {N}")
     if N > _EXHAUSTIVE_N_MAX:
         raise RangeError(f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {N}")
     pc = np.array([bin(v).count("1") for v in range(1 << N)], dtype=np.int64)
-    inputs = np.arange(1 << N, dtype=np.int64)
     outputs = np.arange(1 << max(N - 1, 0), dtype=np.int64)
-    checks = inputs[:, None] ^ (outputs << 1)[None, :] ^ outputs[None, :]
-    a_i = pc[inputs][:, None]
-    a_o = pc[outputs][None, :]
-    b = pc[checks]
+    out_checks = (outputs << 1) ^ outputs
     dim_b = N + 1
     dim_o = N  # a_o <= N - 1
-    idx = (a_i * dim_o + a_o) * dim_b + b
-    counts = np.bincount(idx.ravel(), minlength=(N + 1) * dim_o * dim_b)
-    entries = {}
-    for flat, cnt in enumerate(counts):
-        if cnt:
-            a_i_v, rest = divmod(flat, dim_o * dim_b)
-            a_o_v, b_v = divmod(rest, dim_b)
-            entries[(a_i_v, a_o_v, b_v)] = int(cnt)
-    return IotseTable(N=N, mode="exact", entries=entries)
+    # Flat class index (a_i * dim_o + a_o) * dim_b + b, split by what it reads.
+    a_i_part = pc * (dim_o * dim_b)
+    a_o_part = pc[outputs] * dim_b
+    counts = np.zeros((N + 1) * dim_o * dim_b, dtype=np.int64)
+    for lo in range(0, 1 << N, _EXHAUSTIVE_BLOCK):
+        inputs = np.arange(lo, min(lo + _EXHAUSTIVE_BLOCK, 1 << N), dtype=np.int64)
+        idx = pc[inputs[:, None] ^ out_checks]  # b of every pair in the block
+        idx += a_o_part
+        idx += a_i_part[inputs, None]
+        counts += np.bincount(idx.ravel(), minlength=counts.size)
+    return _harvest(N, counts.reshape(N + 1, dim_o, dim_b))
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +264,18 @@ def graph_ensemble_average(config: EnsembleConfig) -> Dict[Tuple[int, int], Frac
         raise ResourceLimitError(
             f"(N!)^L * 2^universe = {n_tuples * (1 << universe)} exceeds budget"
         )
-    tally: Dict[Tuple[int, int], int] = {}
+    masks = np.arange(1 << universe, dtype=np.int64)
+    pc = np.array([v.bit_count() for v in range(1 << universe)], dtype=np.int64)
+    parity = pc & 1
+    n_b = L * N + 1  # b counts unsatisfied checks, at most L * N
+    a_part = pc * n_b
+    tally = np.zeros((universe + 1) * n_b, dtype=np.int64)
     for perms in itertools.product(itertools.permutations(range(N)), repeat=L):
-        graph = build_factor_graph(config, perms)
-        cms = graph.check_masks
-        for mask in range(1 << universe):
-            a = mask.bit_count()
-            b = 0
-            for cm in cms:
-                b += (mask & cm).bit_count() & 1
-            key = (a, b)
-            tally[key] = tally.get(key, 0) + 1
-    return {k: Fraction(v, n_tuples) for k, v in sorted(tally.items())}
+        cms = np.array(build_factor_graph(config, perms).check_masks, dtype=np.int64)
+        b = parity[masks[:, None] & cms].sum(axis=1)  # every mask at once
+        tally += np.bincount(a_part + b, minlength=tally.size)
+    items = _nonzero_items(tally.reshape(universe + 1, n_b))
+    return {k: Fraction(v, n_tuples) for k, v in items}
 
 
 def encode(
@@ -292,9 +321,11 @@ def encode(
 class VerifyLimits:
     """Domain sizes for the verification suite (defaults = full gate).
 
-    Construction raises ``RangeError`` for a size limit below 1 or an
-    exhaustive limit past the exhaustive oracle's cap, so a bad limit is
-    rejected before any table is built.
+    Construction raises ``RangeError`` for a size limit below 1 or for a
+    limit past the ceiling of the tables it drives (the exhaustive oracle's
+    cap, the accumulator table ceiling for row sums, the exact ensemble table
+    ceiling for the closure block length q * K), so a bad limit is rejected
+    before any table is built.
     """
 
     trellis_n_max: int = 32
@@ -316,6 +347,16 @@ class VerifyLimits:
         if self.exhaustive_n_max > _EXHAUSTIVE_N_MAX:
             raise RangeError(
                 f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {self.exhaustive_n_max}"
+            )
+        if self.rowsum_n_max > _acc.EXACT_TABLE_N_MAX:
+            raise RangeError(
+                f"row-sum tables capped at N={_acc.EXACT_TABLE_N_MAX}, got {self.rowsum_n_max}"
+            )
+        closure_n = self.closure_q_max * self.closure_k_max
+        if closure_n > _ensemble.EXACT_TABLE_N_MAX:
+            raise RangeError(
+                f"closure tables capped at N={_ensemble.EXACT_TABLE_N_MAX},"
+                f" got N={closure_n} (closure_q_max * closure_k_max)"
             )
 
 

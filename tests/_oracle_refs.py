@@ -1,0 +1,64 @@
+"""Literal reference forms of the three brute-force oracles.
+
+``rma_tse.oracles`` runs each oracle as an array pass.  These are the plain
+forms they replaced: a dict walk over every (state, a_i, a_o, b) of the
+extended trellis, one full input x output matrix per exhaustive tally, and a
+per-mask loop over every membership assignment of every interleaver tuple.
+The tests hold the array passes equal to them, key for key and value for
+value (Python ``int`` counts).  Nothing here is imported by the package.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from rma_tse.oracles import build_factor_graph
+
+
+def trellis_dp_entries(n_max):
+    """Class counts of every length 1..n_max by walking every extended-trellis path."""
+    states, tables = {(0, 0, 0, 0): 1}, {}
+    for k in range(1, n_max + 1):
+        nxt = {}
+        for (s, a_i, a_o, b), cnt in states.items():
+            for s_i in (0, 1):
+                for s_o in (0, 1):
+                    c = s_i ^ s ^ s_o
+                    key = (s_o, a_i + s_i, a_o + s_o, b + c)
+                    nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+        tables[k] = {(a_i, a_o, b): cnt for (s, a_i, a_o, b), cnt in states.items() if s == 0}
+    return tables
+
+
+def exhaustive_entries(n):
+    """Class counts of length n from one full input x output tally."""
+    pc = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.int64)
+    inputs = np.arange(1 << n, dtype=np.int64)
+    outputs = np.arange(1 << max(n - 1, 0), dtype=np.int64)
+    checks = inputs[:, None] ^ (outputs << 1)[None, :] ^ outputs[None, :]
+    dim_b, dim_o = n + 1, n
+    idx = (pc[inputs][:, None] * dim_o + pc[outputs][None, :]) * dim_b + pc[checks]
+    counts = np.bincount(idx.ravel(), minlength=(n + 1) * dim_o * dim_b)
+    entries = {}
+    for flat, cnt in enumerate(counts):
+        if cnt:
+            a_i, rest = divmod(flat, dim_o * dim_b)
+            a_o, b = divmod(rest, dim_b)
+            entries[(a_i, a_o, b)] = int(cnt)
+    return entries
+
+
+def graph_average(config):
+    """Exact (a, b) average over every interleaver tuple, one mask at a time."""
+    universe = config.K + config.L * (config.N - 1)
+    n_tuples = math.factorial(config.N) ** config.L
+    tally = {}
+    for perms in itertools.product(itertools.permutations(range(config.N)), repeat=config.L):
+        cms = build_factor_graph(config, perms).check_masks
+        for mask in range(1 << universe):
+            key = (mask.bit_count(), sum((mask & cm).bit_count() & 1 for cm in cms))
+            tally[key] = tally.get(key, 0) + 1
+    return {k: Fraction(v, n_tuples) for k, v in sorted(tally.items())}

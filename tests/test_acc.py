@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -28,6 +29,23 @@ class TestAccTriple:
             AccTriple(3, 0, -1, 0)
         with pytest.raises(RangeError):
             AccTriple(0, 0, 0, 0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((3, 4, 0, 0), "a_i=4 outside [0, 3]"),
+        ((3, 0, -1, 0), "a_o=-1 outside [0, 3]"),
+        ((3, 0, 0, 5), "b=5 outside [0, 3]"),
+        ((3, 4, 9, 0), "a_i=4 outside [0, 3]"),  # the first bad field is named
+        ((0, 0, 0, 0), "block length must be >= 1, got 0"),
+        ((0, 5, 0, 0), "block length must be >= 1, got 0"),
+    ])
+    def test_messages(self, args, message):
+        with pytest.raises(RangeError) as info:
+            AccTriple(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args", [(1, 0, 0, 0), (3, 3, 3, 3), (5, 0, 5, 2)])
+    def test_bounds_inclusive(self, args):
+        assert dataclasses.astuple(AccTriple(*args)) == args
 
 
 class TestTrellisEdges:

@@ -358,6 +358,20 @@ class TestOracleCommand:
     def test_missing_params(self):
         assert run(["oracle", "--which", "graph"]) == 1
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--which", "trellis", "--N", "10"],
+         "fea5510e331b52bcdb595955980825c777d8ef6b3027cb7adaef8fe11ed6ecac"),
+        (["--which", "trellis", "--N", "40"],
+         "a5c77eccde304fe250b5a75e4b6854b5789a43897510ad5378bfe4b34c654f5c"),
+        (["--which", "exhaustive", "--N", "12"],
+         "524d24a0911aefe543e786ac48d8bb8280f57415af61a3c25667392ad6c015ed"),
+        (["--which", "graph", "--q", "2", "--K", "2", "--L", "2"],
+         "faa8eee45c77df52449f62ae994a7673e0916455998a287504fa8cf4cb21ebb6"),
+    ])
+    def test_bytes_pinned(self, argv, digest, capsys):
+        assert run(["oracle", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestVerifyCommand:
     def test_quick_clean(self, capsys, tmp_path):
@@ -422,6 +436,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "OK closed_form_vs_trellis (58 keys)" in out
         assert "OK trellis_vs_exhaustive (604 keys)" in out  # the quick exhaustive limit
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--quick", "--n-rowsum", "600"], "row-sum tables capped at N=512, got 600"),
+        (["--closure-kmax", "30"],
+         "closure tables capped at N=64, got N=90 (closure_q_max * closure_k_max)"),
+    ])
+    def test_table_ceiling_exit_1(self, argv, message, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table for a limit past its ceiling")
+
+        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        assert run(["verify", *argv]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
         "--n-closed", "--n-exhaustive", "--n-iowe", "--n-rowsum",

@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from _oracle_refs import exhaustive_entries, graph_average, trellis_dp_entries
 
 import rma_tse.acc
 import rma_tse.ensemble
@@ -39,7 +41,7 @@ class TestTrellisDp:
 
     def test_total_mass(self):
         # every (input subset, output subset short of the final node) is a path
-        for n in (4, 7):
+        for n in (4, 7, 40):  # 2^79 at n = 40: a wrapped int64 count would show
             assert sum(trellis_dp(n).entries.values()) == 2 ** (2 * n - 1)
 
     def test_ceiling(self):
@@ -60,6 +62,56 @@ class TestExhaustiveAcc:
     def test_range_error(self):
         with pytest.raises(RangeError):
             exhaustive_acc(13)
+
+
+def _assert_same_table(got, want):
+    """Equal keys in equal order, equal values, every count a Python int."""
+    assert got == want
+    assert list(got) == sorted(want)
+    assert all(type(v) is int for v in got.values())
+
+
+class TestArrayPassesEqualReferences:
+    """The array passes against the plain loops they replaced (tests/_oracle_refs.py)."""
+
+    REF_N = 34  # past n = 32, where the trellis walk leaves int64 for Python ints
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        return trellis_dp_entries(self.REF_N)
+
+    @pytest.mark.parametrize("n_max", [32, REF_N])  # an int64 walk and a Python-int walk
+    def test_trellis_tables(self, walked, n_max):
+        tables = trellis_dp_tables(n_max)
+        assert sorted(tables) == list(range(1, n_max + 1))
+        for n, table in tables.items():
+            assert table.N == n and table.mode == "exact"
+            _assert_same_table(table.entries, walked[n])
+
+    @pytest.mark.parametrize("n", [1, 2, 32, 33])
+    def test_trellis_single_table(self, walked, n):
+        _assert_same_table(trellis_dp(n).entries, walked[n])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_exhaustive(self, n):
+        _assert_same_table(exhaustive_acc(n).entries, exhaustive_entries(n))
+
+    @pytest.mark.parametrize("q, k, l_levels", [(2, 2, 1), (2, 2, 2), (1, 3, 2), (2, 3, 1)])
+    def test_graph(self, q, k, l_levels):
+        config = EnsembleConfig(q=q, K=k, L=l_levels)
+        got, want = graph_ensemble_average(config), graph_average(config)
+        assert got == want and list(got) == list(want)
+        assert all(type(v.numerator) is int and type(v.denominator) is int for v in got.values())
+
+    def test_exhaustive_streams_its_tally(self):
+        # One 2^12 x 2^11 int64 matrix is 64 MiB; the streamed tally holds none.
+        tracemalloc.start()
+        try:
+            exhaustive_acc(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 12) * (1 << 11) * 8
 
 
 class TestFactorGraph:
@@ -220,6 +272,29 @@ class TestVerifyAll:
         monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
         with pytest.raises(RangeError, match="capped at N=12, got 13"):
             verify_all(dataclasses.replace(self.QUICK, exhaustive_n_max=13))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"rowsum_n_max": 513}, "row-sum tables capped at N=512, got 513"),
+        ({"closure_q_max": 3, "closure_k_max": 22},
+         "closure tables capped at N=64, got N=66 (closure_q_max * closure_k_max)"),
+    ])
+    def test_table_ceiling_before_any_table(self, monkeypatch, change, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table for a limit past its ceiling")
+
+        for module, name in [(rma_tse.oracles, "trellis_dp_tables"),
+                             (rma_tse.acc, "acc_iotse_table"),
+                             (rma_tse.ensemble, "ensemble_table")]:
+            monkeypatch.setattr(module, name, unreachable)
+        with pytest.raises(RangeError) as info:
+            verify_all(dataclasses.replace(self.QUICK, **change))
+        assert str(info.value) == message
+
+    def test_limits_at_the_table_ceilings(self):
+        limits = dataclasses.replace(
+            self.QUICK, rowsum_n_max=512, closure_q_max=2, closure_k_max=32
+        )
+        assert (limits.rowsum_n_max, limits.closure_q_max * limits.closure_k_max) == (512, 64)
 
 
 def _mismatches(report):
