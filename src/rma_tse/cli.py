@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from . import acc, asymptotic, ensemble, oracles
 from .acc import AccTriple, RangeError, ResourceLimitError
@@ -54,13 +55,15 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-def _write(text: str, destination) -> None:
-    """Write ``text`` to an open stream, or to the file at a path (no newline translation)."""
+def _write(pieces: Iterable[str], destination) -> None:
+    """Write text pieces in order to an open stream, or to the file at a path
+    (no newline translation)."""
     if hasattr(destination, "write"):
-        destination.write(text)
+        for piece in pieces:
+            destination.write(piece)
     else:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def emit_sweep_csv(spec: SweepSpec, points: Iterable[AsymptoticPoint], destination) -> None:
@@ -89,7 +92,7 @@ def emit_sweep_csv(spec: SweepSpec, points: Iterable[AsymptoticPoint], destinati
             levels = [(lv.alpha_o, lv.beta, lv.mu, lv.nu) for lv in p.witness.levels]
         cells = [p.alpha, p.beta, p.r, max(p.r, 0.0), omega] + [v for lv in levels for v in lv]
         lines.append(",".join(_fmt(v) for v in cells))
-    _write("\n".join(lines) + "\n", destination)
+    _write(["\n".join(lines) + "\n"], destination)
 
 
 def _value_str(value) -> str:
@@ -100,6 +103,26 @@ def _value_str(value) -> str:
 
 # One entry of a table's JSON: a key of ints and a value string.
 _ENTRY = '    {\n      "key": [\n        %s\n      ],\n      "value": %s\n    }'
+_ENTRY_CHUNK = 1024  # entries per written piece
+
+
+def _table_pieces(kind: str, params: Dict, entries: Dict) -> Iterator[str]:
+    """The table's JSON text in pieces of up to ``_ENTRY_CHUNK`` entries."""
+    rows = iter(sorted(entries.items()))
+    yield '{\n  "entries": ' + ("[" if entries else "[]")
+    separator = "\n"
+    while chunk := ",\n".join(
+        _ENTRY % (",\n        ".join(map(str, key)), encode_basestring_ascii(_value_str(value)))
+        for key, value in itertools.islice(rows, _ENTRY_CHUNK)
+    ):
+        yield separator + chunk
+        separator = ",\n"
+    yield (
+        ("\n  ]" if entries else "")
+        + ',\n  "kind": ' + encode_basestring_ascii(kind)
+        + ',\n  "params": ' + json.dumps(params, indent=2, sort_keys=True).replace("\n", "\n  ")
+        + "\n}\n"
+    )
 
 
 def emit_table_json(kind: str, params: Dict, entries: Dict, destination) -> None:
@@ -109,18 +132,10 @@ def emit_table_json(kind: str, params: Dict, entries: Dict, destination) -> None
     sort_keys=True)`` plus a newline: entries in ascending key order, each
     ``{"key": [ints], "value": "string"}`` with one line per list element.
     Exact values are decimal integer or "num/den" strings, never floats.
+    The entries are written ``_ENTRY_CHUNK`` at a time, so no string of the
+    whole table is built.
     """
-    body = ",\n".join(
-        _ENTRY % (",\n        ".join(map(str, key)), encode_basestring_ascii(_value_str(value)))
-        for key, value in sorted(entries.items())
-    )
-    text = (
-        '{\n  "entries": ' + ("[\n" + body + "\n  ]" if body else "[]")
-        + ',\n  "kind": ' + encode_basestring_ascii(kind)
-        + ',\n  "params": ' + json.dumps(params, indent=2, sort_keys=True).replace("\n", "\n  ")
-        + "\n}\n"
-    )
-    _write(text, destination)
+    _write(_table_pieces(kind, params, entries), destination)
 
 
 def parse_table_json(text: str) -> Tuple[str, Dict, Dict]:
@@ -448,7 +463,7 @@ def _cmd_verify(args) -> int:
             m = comparison.mismatch
             print(f"MISMATCH {comparison.name} at {m.key}: {m.lhs} != {m.rhs}")
     if args.out:
-        _write(report.to_json() + "\n", args.out)
+        _write([report.to_json() + "\n"], args.out)
     return 3 if report.mismatch_count else 0
 
 

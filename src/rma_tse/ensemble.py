@@ -159,17 +159,28 @@ def _forward(
     (a_o, b_l, nonzero component count) of ``moves(level, key, counts)``,
     times the placement factor of its input count, and the terms reaching
     the same ``step`` key are summed.  Values stay scaled by N! per level.
+
+    Exact terms are added into a running sum per state as they arrive:
+    integer addition is exact in any order, so memory stays O(states).  Log
+    terms are collected per state and summed by ``log_sum_exp`` after the
+    level, which takes the peak first; a running log-add would change bits.
     """
     N, mul, place = config.N, dom.mul, dom.place
+    exact = dom is _EXACT
     counts = _Counts(dom, N)
     state = {(config.q * w, w, 0, w): dom.binom(config.K, w) for w in ws}
     for level in range(config.L):
-        nxt: Dict[tuple, list] = {}
+        nxt: Dict[tuple, object] = {}
         for key, value in state.items():
             value = mul(value, place(N, key[0]))
-            for a_o, b_l, cnt in moves(level, key, counts):
-                nxt.setdefault(step(key, a_o, b_l), []).append(mul(value, cnt))
-        state = {key: dom.total(terms) for key, terms in nxt.items()}
+            if exact:
+                for a_o, b_l, cnt in moves(level, key, counts):
+                    k = step(key, a_o, b_l)
+                    nxt[k] = nxt.get(k, 0) + value * cnt
+            else:
+                for a_o, b_l, cnt in moves(level, key, counts):
+                    nxt.setdefault(step(key, a_o, b_l), []).append(mul(value, cnt))
+        state = nxt if exact else {key: dom.total(terms) for key, terms in nxt.items()}
     return state
 
 
@@ -257,12 +268,16 @@ def ensemble_table(
     def moves(level: int, key: tuple, counts: _Counts):
         return rows.get(key[0], ())
 
-    by_class: Dict[Tuple[int, int], list] = {}
-    for key, value in _forward(config, dom, range(config.K + 1), moves).items():
-        by_class.setdefault(key[1:3], []).append(value)
-    return {
-        k: dom.finish(dom.total(v), N, config.L) for k, v in sorted(by_class.items())
-    }
+    state = _forward(config, dom, range(config.K + 1), moves)
+    by_class: Dict[Tuple[int, int], object] = {}  # merged over the last level's a_o
+    if dom is _EXACT:
+        for key, value in state.items():
+            by_class[key[1:3]] = by_class.get(key[1:3], 0) + value
+    else:
+        for key, value in state.items():
+            by_class.setdefault(key[1:3], []).append(value)
+        by_class = {k: dom.total(v) for k, v in by_class.items()}
+    return {k: dom.finish(v, N, config.L) for k, v in sorted(by_class.items())}
 
 
 def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:

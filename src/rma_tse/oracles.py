@@ -322,10 +322,10 @@ class VerifyLimits:
     """Domain sizes for the verification suite (defaults = full gate).
 
     Construction raises ``RangeError`` for a size limit below 1 or for a
-    limit past the ceiling of the tables it drives (the exhaustive oracle's
-    cap, the accumulator table ceiling for row sums, the exact ensemble table
-    ceiling for the closure block length q * K), so a bad limit is rejected
-    before any table is built.
+    limit past the ceiling of the tables it drives (the trellis walk's and
+    the exhaustive oracle's caps, the accumulator table ceiling for row
+    sums, the exact ensemble table ceiling for the closure block length
+    q * K), so a bad limit is rejected before any table is built.
     """
 
     trellis_n_max: int = 32
@@ -344,6 +344,10 @@ class VerifyLimits:
             value = getattr(self, limit.name)
             if limit.name.endswith("_max") and value < 1:
                 raise RangeError(f"{limit.name} must be >= 1, got {value}")
+        if self.trellis_n_max > TRELLIS_N_MAX:
+            raise RangeError(
+                f"trellis DP capped at N={TRELLIS_N_MAX}, got {self.trellis_n_max}"
+            )
         if self.exhaustive_n_max > _EXHAUSTIVE_N_MAX:
             raise RangeError(
                 f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {self.exhaustive_n_max}"
@@ -419,7 +423,13 @@ def _first_mismatch(name: str, triples: Iterable[Tuple]) -> ComparisonResult:
 
 
 def _table_triples(lhs: Dict, rhs: Dict, prefix: Tuple = ()):
-    """Both tables' values (0 if missing) over their sorted keys, built by C-level iterators."""
+    """Both tables' values (0 if missing) over their sorted keys, built by C-level iterators.
+
+    Equal tables yield lhs's items as they stand: with no mismatch only the
+    count of keys is reported, and it is the same in any order.
+    """
+    if lhs == rhs:
+        return zip(map(prefix.__add__, lhs), lhs.values(), lhs.values())
     keys, zero = sorted(lhs.keys() | rhs.keys()), itertools.repeat(0)
     return zip(map(prefix.__add__, keys), map(lhs.get, keys, zero), map(rhs.get, keys, zero))
 
@@ -440,16 +450,27 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
     the keys compared up to and including that mismatch (all keys if none).
     """
     n_ex = limits.exhaustive_n_max
-    dp_tables = trellis_dp_tables(max(limits.trellis_n_max, n_ex))
+    # One trellis walk serves both trellis comparisons, harvested at each n
+    # only when a stream reaches it; the exhaustive stream's tables are kept.
+    walk = _trellis_states(max(limits.trellis_n_max, n_ex))
+    kept: Dict[int, Dict] = {}
     row_sums: Dict[int, Counter] = {}  # kept for the row-sum check
 
+    def trellis(n: int) -> Dict:
+        # Advance the walk to n, harvesting on the way every table n <= n_ex.
+        while n not in kept:
+            k, counts = next(walk)
+            if k == n or k <= n_ex:
+                kept[k] = _harvest(k, counts).entries
+        return kept[n] if n <= n_ex else kept.pop(n)
+
     def closed_form():
-        # Closed form vs trellis DP: one stream per n, its table built only when reached.
+        # Closed form vs trellis DP: one stream per n, its tables built only when reached.
         for n in range(1, limits.trellis_n_max + 1):
             closed = _acc.acc_iotse_table(n)
             if n <= limits.rowsum_n_max:
                 row_sums[n] = _row_sums(closed)
-            yield _table_triples(dp_tables[n].entries, closed.entries, (n,))
+            yield _table_triples(trellis(n), closed.entries, (n,))
 
     def rowsum():
         # Summing one class table over b must count all subset pairs.
@@ -483,7 +504,7 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
                 yield (perms, bits), graph.induced_class(MembershipAssignment(mask))[1], 0
 
     exhaustive = (  # trellis DP vs exhaustive subset enumeration
-        _table_triples(dp_tables[n].entries, exhaustive_acc(n).entries, (n,))
+        _table_triples(trellis(n), exhaustive_acc(n).entries, (n,))
         for n in range(1, n_ex + 1)
     )
     iowe = (  # b = 0 slice vs the classic weight enumerator

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,36 @@ class TestTableWriter:
             '{\n  "entries": [],\n  "kind": "iotse",\n  "params": {}\n}\n'
         )
 
+    @pytest.mark.parametrize("size", [0, 1, rma_tse.cli._ENTRY_CHUNK, rma_tse.cli._ENTRY_CHUNK + 1])
+    def test_chunk_boundaries(self, size, tmp_path):
+        entries = {(i, i % 3): Fraction(i, 7) if i % 2 else i for i in range(size)}
+        want = self._dumps("iotse", {"N": size}, entries)
+        pieces = []
+
+        class Recorder:
+            write = pieces.append
+
+        emit_table_json("iotse", {"N": size}, entries, Recorder())
+        assert "".join(pieces) == want
+        # No piece holds more than one chunk of entries.
+        assert max(piece.count('"key"') for piece in pieces) == min(size, rma_tse.cli._ENTRY_CHUNK)
+        out = tmp_path / "t.json"
+        emit_table_json("iotse", {"N": size}, entries, str(out))
+        assert out.read_bytes() == want.encode()
+
+    def test_writer_memory(self):
+        # Measured (tracemalloc peak, the StringIO's text included): 12.1 MiB
+        # when the whole body was joined into one string, 6.5 MiB written in
+        # chunks of entries.
+        entries = acc_iotse_table(48).entries
+        tracemalloc.start()
+        try:
+            emit_table_json("iotse", {"N": 48, "mode": "exact"}, entries, io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
+
     def test_out_file_equals_stdout(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         assert run(["acc-table", "--N", "7", "--mode", "log"]) == 0
@@ -419,7 +450,7 @@ class TestVerifyCommand:
         def unreachable(*args, **kwargs):
             raise AssertionError("built a table past the exhaustive cap")
 
-        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
         assert run(["verify", "--n-exhaustive", "13"]) == 1
         assert "exhaustive enumeration capped at N=12, got 13" in capsys.readouterr().err
 
@@ -427,7 +458,7 @@ class TestVerifyCommand:
         def unreachable(*args, **kwargs):
             raise AssertionError("built a table past the exhaustive cap")
 
-        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
         assert run(["verify", "--quick", "--n-exhaustive", "13"]) == 1
         assert "exhaustive enumeration capped at N=12, got 13" in capsys.readouterr().err
 
@@ -441,12 +472,13 @@ class TestVerifyCommand:
         (["--quick", "--n-rowsum", "600"], "row-sum tables capped at N=512, got 600"),
         (["--closure-kmax", "30"],
          "closure tables capped at N=64, got N=90 (closure_q_max * closure_k_max)"),
+        (["--n-closed", "49"], "trellis DP capped at N=48, got 49"),
     ])
     def test_table_ceiling_exit_1(self, argv, message, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("built a table for a limit past its ceiling")
 
-        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
         assert run(["verify", *argv]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -458,7 +490,7 @@ class TestVerifyCommand:
         def unreachable(*args, **kwargs):
             raise AssertionError("built a table for a limit below 1")
 
-        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
         assert run(["verify", flag, "0"]) == 1
         assert "must be >= 1, got 0" in capsys.readouterr().err
 

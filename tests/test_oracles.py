@@ -9,6 +9,7 @@ import pytest
 from _oracle_refs import exhaustive_entries, graph_average, trellis_dp_entries
 
 import rma_tse.acc
+import rma_tse.cli
 import rma_tse.ensemble
 import rma_tse.oracles
 from rma_tse.acc import IotseTable, RangeError, ResourceLimitError
@@ -16,7 +17,10 @@ from rma_tse.ensemble import EnsembleConfig
 from rma_tse.oracles import (
     FactorGraph,
     MembershipAssignment,
+    Mismatch,
     VerifyLimits,
+    _first_mismatch,
+    _table_triples,
     build_factor_graph,
     encode,
     exhaustive_acc,
@@ -265,11 +269,64 @@ class TestVerifyAll:
         exhaustive = next(c for c in report.comparisons if c.name == "trellis_vs_exhaustive")
         assert exhaustive.checked == sum(len(trellis_dp(n).entries) for n in range(1, 9))
 
+    def test_one_lazy_trellis_walk(self, monkeypatch):
+        # Both trellis comparisons share one walk; no table set is built up front.
+        real, walks = rma_tse.oracles._trellis_states, []
+
+        def counting(n_max):
+            walks.append(n_max)
+            return real(n_max)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built every trellis table at once")
+
+        monkeypatch.setattr(rma_tse.oracles, "_trellis_states", counting)
+        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        assert verify_all(self.QUICK).mismatch_count == 0
+        assert walks == [8]
+
+    def test_exhaustive_after_closed_form_stops(self, monkeypatch):
+        # A closed-form mismatch at n = 2 stops that stream; the exhaustive
+        # stream must walk the trellis on to its own range.
+        real = rma_tse.acc.acc_iotse_table
+        monkeypatch.setattr(
+            rma_tse.acc, "acc_iotse_table",
+            lambda n, mode="exact": TestFirstMismatch.bump(real(n, mode), (1, 0, 0))
+            if n == 2 else real(n, mode),
+        )
+        report = verify_all(dataclasses.replace(self.QUICK, trellis_n_max=4, exhaustive_n_max=7))
+        closed = next(c for c in report.comparisons if c.name == "closed_form_vs_trellis")
+        exhaustive = next(c for c in report.comparisons if c.name == "trellis_vs_exhaustive")
+        assert closed.mismatch is not None and closed.mismatch.key[0] == 2
+        assert exhaustive.ok
+        assert exhaustive.checked == sum(len(trellis_dp(n).entries) for n in range(1, 8))
+
+    def test_trellis_cap_before_any_table(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table past the trellis cap")
+
+        monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
+        monkeypatch.setattr(rma_tse.acc, "acc_iotse_table", unreachable)
+        with pytest.raises(RangeError, match="trellis DP capped at N=48, got 49"):
+            verify_all(dataclasses.replace(self.QUICK, trellis_n_max=49))
+
+    def test_verify_memory(self):
+        # Measured (tracemalloc peak): 17.0 MiB when all 32 trellis tables were
+        # built before the comparisons, 5.8 MiB with the one streamed walk.
+        limits = dataclasses.replace(rma_tse.cli._QUICK_LIMITS, trellis_n_max=32)
+        tracemalloc.start()
+        try:
+            assert verify_all(limits).mismatch_count == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_exhaustive_cap_before_any_table(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("built a table past the exhaustive cap")
 
-        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
         with pytest.raises(RangeError, match="capped at N=12, got 13"):
             verify_all(dataclasses.replace(self.QUICK, exhaustive_n_max=13))
 
@@ -282,7 +339,7 @@ class TestVerifyAll:
         def unreachable(*args, **kwargs):
             raise AssertionError("built a table for a limit past its ceiling")
 
-        for module, name in [(rma_tse.oracles, "trellis_dp_tables"),
+        for module, name in [(rma_tse.oracles, "_trellis_states"),
                              (rma_tse.acc, "acc_iotse_table"),
                              (rma_tse.ensemble, "ensemble_table")]:
             monkeypatch.setattr(module, name, unreachable)
@@ -304,6 +361,28 @@ def _mismatches(report):
         for c in report.comparisons
         if not c.ok
     ]
+
+
+class TestTableTriples:
+    @staticmethod
+    def compare(lhs, rhs):
+        result = _first_mismatch("t", _table_triples(lhs, rhs, (0,)))
+        return result.checked, result.mismatch
+
+    def test_equal_tables(self):
+        table = trellis_dp(9).entries
+        assert self.compare(table, dict(reversed(table.items()))) == (len(table), None)
+        assert self.compare({}, {}) == (0, None)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_explicit_zero_matches_missing_key(self, swap):
+        # Unequal as dicts, so the sorted walk over the union of keys runs.
+        lhs, rhs = {(1,): 0, (2,): 5, (3,): 0}, {(2,): 5}
+        assert self.compare(*((rhs, lhs) if swap else (lhs, rhs))) == (3, None)
+
+    def test_first_mismatch_in_key_order(self):
+        lhs, rhs = {(3,): 2, (1,): 1, (4,): 9}, {(4,): 8, (1,): 1, (3,): 3}
+        assert self.compare(lhs, rhs) == (2, Mismatch((0, 3), "2", "3"))
 
 
 class TestFirstMismatch:
