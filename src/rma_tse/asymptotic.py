@@ -47,7 +47,8 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.special import entr
 
-from .combinatorics import NEG_INF, DomainError, binary_entropy
+from .combinatorics import (NEG_INF, ROUNDING_TOL, DomainError, binary_entropy,
+                            check_finite, check_unit)
 
 __all__ = [
     "SplitPolicy",
@@ -65,9 +66,6 @@ __all__ = [
     "DEFAULT_GRID_POINTS",
 ]
 
-_FEAS_TOL = 1e-9   # slack for boundary arithmetic on gridded candidates
-_PIN_TOL = 1e-12   # slack for exactly-pinned quantities
-
 DEFAULT_GRID_POINTS = 33
 # The coarse stage caps its total candidate count; per-dimension resolution
 # is reduced below DEFAULT_GRID_POINTS only when the dimension count forces it.
@@ -78,13 +76,13 @@ _GRID_BUDGET = 600_000
 # by 6 MiB, from inner solves of up to 2,513 feasible rows (free L=2).
 _SCREEN_BLOCK = 1024
 # A grid point that the inner solve counts as feasible meets every row of
-# ``_polytope`` to within 6 * _FEAS_TOL: ``_unpack`` accepts levels up to
-# _FEAS_TOL outside [0, 1] and clips them, which moves a row such as
-# 2 alpha_o - (alpha_i - beta) by at most 4 * _FEAS_TOL, and ``_inner``
-# accepts |alpha_i - beta| / 2 <= min(alpha_o, 1 - alpha_o) + _FEAS_TOL on
-# the clipped levels, 2 * _FEAS_TOL more.  _PIN_TOL covers the rounding of
-# the two ways of computing the levels.  So the screen only prunes.
-_SCREEN_SLACK = 6 * _FEAS_TOL + _PIN_TOL
+# ``_polytope`` to within 6 tolerances (ROUNDING_TOL): ``_unpack`` accepts
+# levels up to one outside [0, 1] and clips them, which moves a row such as
+# 2 alpha_o - (alpha_i - beta) by at most 4, and ``_inner`` accepts
+# |alpha_i - beta| / 2 <= min(alpha_o, 1 - alpha_o) + ROUNDING_TOL on the
+# clipped levels, 2 more.  A seventh covers the rounding of the two ways of
+# computing the levels.  So the screen only prunes.
+_SCREEN_SLACK = 7 * ROUNDING_TOL
 # The coarse grid may have at most this many rows (points per free dimension
 # to the power of the dimension count), which every default grid up to a
 # free split at L=5 (5**9 rows) meets.  Measured on a 2-vCPU machine, an
@@ -110,8 +108,8 @@ class SplitPolicy:
 
     def __post_init__(self) -> None:
         if self.fractions is not None:
-            fr = tuple(_finite("split fraction", f) for f in self.fractions)
-            if any(f < -_PIN_TOL for f in fr):
+            fr = tuple(check_finite("split fraction", f) for f in self.fractions)
+            if any(f < -ROUNDING_TOL for f in fr):
                 raise DomainError(f"split fractions must be nonnegative: {fr}")
             if abs(sum(fr) - 1.0) > 1e-9:
                 raise DomainError(f"split fractions must sum to 1: {fr}")
@@ -135,21 +133,6 @@ class SplitPolicy:
         return "fixed:" + ",".join(format(f, ".9g") for f in self.fractions)
 
 
-def _finite(name: str, x: float) -> float:
-    """``x`` as a float; NaN and infinities raise ``DomainError``."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name}={x!r} is not finite")
-    return x
-
-
-def _check_unit(name: str, x: float) -> float:
-    x = _finite(name, x)
-    if x < -_PIN_TOL or x > 1.0 + _PIN_TOL:
-        raise DomainError(f"{name}={x!r} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class AccShapeArgs:
     """Normalized input/output/unsatisfied-check fractions of one level."""
@@ -160,7 +143,7 @@ class AccShapeArgs:
 
     def __post_init__(self) -> None:
         for name in ("alpha_i", "alpha_o", "beta"):
-            object.__setattr__(self, name, _check_unit(name, getattr(self, name)))
+            object.__setattr__(self, name, check_unit(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -187,8 +170,8 @@ class AsymptoticQuery:
     def __post_init__(self) -> None:
         if self.q < 1 or self.L < 1:
             raise DomainError(f"q and L must be >= 1, got {self.q}, {self.L}")
-        _finite("alpha", self.alpha)
-        _finite("beta", self.beta)
+        check_finite("alpha", self.alpha)
+        check_finite("beta", self.beta)
         if self.alpha < 0 or self.beta < 0:
             raise DomainError("alpha and beta must be nonnegative")
         if not self.split.is_free and len(self.split.fractions) != self.L:
@@ -235,9 +218,9 @@ class SweepSpec:
     grid_points: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if _finite("delta", self.delta) < 0:
+        if check_finite("delta", self.delta) < 0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
-        grid = tuple(_finite("alpha", a) for a in self.alpha_grid)
+        grid = tuple(check_finite("alpha", a) for a in self.alpha_grid)
         if any(a <= 0.0 or a > 1.0 for a in grid):
             raise DomainError("alpha grid values must lie in (0, 1]")
         if any(y <= x for x, y in zip(grid, grid[1:])):
@@ -248,7 +231,7 @@ class SweepSpec:
 
 def f_rep(omega: float, q: int) -> float:
     """Normalized log count of repetition-code words: H(omega)/q."""
-    omega = _check_unit("omega", omega)
+    omega = check_unit("omega", omega)
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     return binary_entropy(omega) / q
@@ -268,9 +251,9 @@ def _term(t, s):
 
     t = 0 forces s = 0 (value 0); s is clipped into [0, t] within tolerance.
     """
-    pos = t > _PIN_TOL
-    bad = (t < -_FEAS_TOL) | (s < -_FEAS_TOL) | (s > t + _FEAS_TOL)
-    bad |= ~pos & (np.abs(s) > _FEAS_TOL)
+    pos = t > ROUNDING_TOL
+    bad = (t < -ROUNDING_TOL) | (s < -ROUNDING_TOL) | (s > t + ROUNDING_TOL)
+    bad |= ~pos & (np.abs(s) > ROUNDING_TOL)
     ratio = np.minimum(np.maximum(s / np.where(pos, t, math.inf), 0.0), 1.0)
     return np.where(bad, NEG_INF, t * _entropy(ratio))
 
@@ -290,15 +273,17 @@ def _objective(ai, ao, b, mu, nu):
 
 
 def _mu_bounds(ai, ao, b):
-    """Feasible mu interval elementwise (may be empty: lo > hi).
+    """Feasible mu interval [lo, hi] elementwise and whether it is nonempty.
 
     Besides the direct bounds, mu must leave the nu interval nonempty:
-    nu_lo <= min(1 - ao - mu, (ai+b)/2 - mu).
+    nu_lo <= min(1 - ao - mu, (ai+b)/2 - mu).  An empty interval comes back
+    as the one point lo, feasible if it was empty by at most ROUNDING_TOL.
     """
     half = 0.5 * (ai + b)
     nu_lo = np.maximum(0.0, half - ao)
+    lo = np.abs(ai - b) * 0.5
     hi = np.minimum(np.minimum(ao, 1.0 - ao), np.minimum(1.0 - ao, half) - nu_lo)
-    return np.abs(ai - b) * 0.5, hi
+    return lo, np.maximum(hi, lo), lo <= hi + ROUNDING_TOL
 
 
 def _nu(ai, ao, b, mu):
@@ -312,7 +297,7 @@ def _nu(ai, ao, b, mu):
     """
     half = 0.5 * (ai + b)
     denom = 1.0 - 2.0 * mu
-    usable = denom > _PIN_TOL
+    usable = denom > ROUNDING_TOL
     star = np.where(usable, (1.0 - ao - mu) * (half - mu) / np.where(usable, denom, 1.0), 0.0)
     lo = np.maximum(0.0, half - ao)
     hi = np.maximum(np.minimum(1.0 - ao - mu, half - mu), lo)
@@ -334,9 +319,7 @@ def _inner(ai, ao, b):
     NEG_INF and mu, nu are NaN.
     """
     ai, ao, b = (np.asarray(v, dtype=float) for v in (ai, ao, b))
-    lo, hi = _mu_bounds(ai, ao, b)
-    feasible = lo <= hi + _FEAS_TOL
-    hi = np.maximum(hi, lo)
+    lo, hi, feasible = _mu_bounds(ai, ao, b)
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
     p, s = h * (1.0 - h), ao * (1.0 - ao)
     m = p + s + d * d
@@ -372,10 +355,9 @@ def _inner_from(ai: float, ao: float, b: float, mu: float) -> InnerOptimum:
     the upper end, so the interval brackets its root; a Newton step that
     leaves the current bracket is replaced by bisection.
     """
-    lo, hi = _mu_bounds(ai, ao, b)
-    if lo > hi + _FEAS_TOL:
+    lo, hi, feasible = _mu_bounds(ai, ao, b)
+    if not feasible:
         return InnerOptimum(math.nan, math.nan, NEG_INF)
-    hi = max(hi, lo)
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
 
     def slope(m):
@@ -506,7 +488,7 @@ def _unpack(query: AsymptoticQuery, x: np.ndarray):
     """
     K, k = _level_map(query)
     levels = np.swapaxes(K @ x.T, 1, 2) + k[:, None, :]
-    ok = np.all((levels >= -_FEAS_TOL) & (levels <= 1.0 + _FEAS_TOL), axis=(0, 2))
+    ok = np.all((levels >= -ROUNDING_TOL) & (levels <= 1.0 + ROUNDING_TOL), axis=(0, 2))
     return np.clip(levels, 0.0, 1.0), ok
 
 
@@ -624,6 +606,7 @@ def _peaks(values: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         own = line.copy()
         np.maximum(line[1:], own[:-1], out=line[1:])
         np.maximum(line[:-1], own[1:], out=line[:-1])
+        del own  # so that the next axis's copy does not coexist with it
     peaks = np.flatnonzero((values > NEG_INF) & (values >= top.ravel()))
     return peaks[np.argsort(-values[peaks], kind="stable")[:_N_SEEDS]]
 

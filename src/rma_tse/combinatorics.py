@@ -17,6 +17,9 @@ __all__ = [
     "LogValue",
     "NEG_INF",
     "DomainError",
+    "ROUNDING_TOL",
+    "check_finite",
+    "check_unit",
     "binomial",
     "log_binomial",
     "binary_entropy",
@@ -30,12 +33,29 @@ LogValue = float
 
 NEG_INF = float("-inf")
 
-# Inputs this far outside [0, 1] are clamped; farther outside is an error.
-_ENTROPY_CLAMP = 1e-12
+# The package's one rounding tolerance: a value at most this far outside an
+# interval lies on its end; one farther outside is not in the interval.
+ROUNDING_TOL = 1e-12
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
+
+
+def check_finite(name: str, x: float) -> float:
+    """``x`` as a float; NaN and infinities raise ``DomainError``."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name}={x!r} is not finite")
+    return x
+
+
+def check_unit(name: str, x: float) -> float:
+    """``x`` clamped into [0, 1]; ``DomainError`` if not finite or over ROUNDING_TOL outside."""
+    x = check_finite(name, x)
+    if x < -ROUNDING_TOL or x > 1.0 + ROUNDING_TOL:
+        raise DomainError(f"{name}={x!r} outside [0, 1]")
+    return min(max(x, 0.0), 1.0)
 
 
 def binomial(n: int, k: int) -> BigCount:
@@ -57,15 +77,8 @@ def log_binomial(n: int, k: int) -> LogValue:
 
 
 def binary_entropy(x: float) -> float:
-    """Binary entropy H(x) = -x ln x - (1-x) ln(1-x), with H(0) = H(1) = 0."""
-    if x < 0.0:
-        if x < -_ENTROPY_CLAMP:
-            raise DomainError(f"binary_entropy argument {x!r} below 0")
-        return 0.0
-    if x > 1.0:
-        if x > 1.0 + _ENTROPY_CLAMP:
-            raise DomainError(f"binary_entropy argument {x!r} above 1")
-        return 0.0
+    """Binary entropy -x ln x - (1-x) ln(1-x) of ``check_unit(x)``; H(0) = H(1) = 0."""
+    x = check_unit("binary_entropy argument", x)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)

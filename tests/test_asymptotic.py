@@ -153,6 +153,14 @@ class TestFAcc:
         assert opt.value == NEG_INF
         assert not opt.feasible
 
+    @pytest.mark.parametrize("start", [None, (0.0, 0.0)])
+    def test_strictly_infeasible_within_1e9(self, start):
+        # mu must lie in [|alpha_i - beta| / 2, alpha_o] = [1e-9, 0]: empty.
+        # A 1e-9 tolerance on that interval made this 4.34e-8.
+        assert f_acc(AccShapeArgs(2e-9, 0.0, 0.0), start=start).value == NEG_INF
+        # 2.5e-13 past the end is rounding: the interval is the point 2.5e-13.
+        assert f_acc(AccShapeArgs(5e-13, 0.0, 0.0), start=start).feasible
+
     def test_matches_dense_grid(self):
         rng = np.random.default_rng(42)
         for _ in range(4):
@@ -195,7 +203,7 @@ class TestFAcc:
         assert opt.value == pytest.approx(facc_grid_max(ai, ao, b, n=800), abs=2e-6)
         assert opt.value >= facc_grid_max(ai, ao, b, n=800, tol=0.0) - 1e-12
         assert opt.nu >= max(0.0, 0.5 * (ai + b) - ao)
-        for end in _mu_bounds(ai, ao, b):
+        for end in _mu_bounds(ai, ao, b)[:2]:
             assert abs(f_acc(args, start=(end, 0.0)).value - opt.value) <= 1e-12
 
     @settings(max_examples=500, deadline=None, derandomize=True)
@@ -377,8 +385,8 @@ def _check_witness(query, point):
     a_in = w.omega
     for i, lv in enumerate(w.levels):
         assert 0.0 <= lv.alpha_o <= 1.0 and 0.0 <= lv.beta <= 1.0
-        lo, hi = _mu_bounds(a_in, lv.alpha_o, lv.beta)
-        assert lo - 1e-12 <= lv.mu <= hi + 1e-12
+        lo, hi, feasible = _mu_bounds(a_in, lv.alpha_o, lv.beta)
+        assert feasible and lo - 1e-12 <= lv.mu <= hi + 1e-12
         half = 0.5 * (a_in + lv.beta)
         assert max(0.0, half - lv.alpha_o) - 1e-12 <= lv.nu
         assert lv.nu <= min(1.0 - lv.alpha_o - lv.mu, half - lv.mu) + 1e-12
@@ -572,6 +580,19 @@ class TestGridScreen:
             tracemalloc.stop()
         assert (values.size, len(axes)) == (279_936, 7)
         assert peak < values.size * len(axes) * np.dtype(float).itemsize
+
+    def test_peaks_holds_two_grid_copies(self):
+        # The neighbourhood maxima and one axis's copy at a time.  With the
+        # previous axis's copy alive while the next was made, the peak was
+        # three grid sizes (44.7 MiB on the free L=5 default grid).
+        _, values, shape = _grid_stage(self.EDGE_CASES["free-L4"], None)
+        tracemalloc.start()
+        try:
+            _peaks(values, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * values.nbytes
 
 
 class TestRPointProperties:

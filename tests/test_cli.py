@@ -373,6 +373,17 @@ class TestTableWriter:
         assert run(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_benchmark_sweep_bytes_pinned(self, capsys):
+        # The sweep CSV of the benchmark's figure workload.  Its witness cells
+        # hold the optimizer's digits, so a search change that moves them
+        # must be declared.
+        assert run(["asym-sweep", "--q", "3", "--L", "2", "--delta", "0.1",
+                    "--alpha-min", "0.02", "--alpha-max", "0.3", "--alpha-steps", "10",
+                    "--split", "fixed:0.5,0.5"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "362133dc4a583c1fdefeeaebf18ce0504d72ac36faec0244393204e9e53ed9f9"
+        )
+
 
 class TestOracleCommand:
     def test_trellis(self, capsys):

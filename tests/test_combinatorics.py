@@ -82,6 +82,12 @@ class TestBinaryEntropy:
         with pytest.raises(DomainError):
             binary_entropy(1.0 + 1e-6)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, bad):
+        # NaN passed both range comparisons and came back as NaN.
+        with pytest.raises(DomainError):
+            binary_entropy(bad)
+
     @given(st.floats(0.0, 1.0, allow_nan=False))
     def test_symmetry(self, x):
         assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)
