@@ -63,7 +63,6 @@ from .oracles import (
     exhaustive_acc,
     graph_ensemble_average,
     trellis_dp,
-    trellis_dp_tables,
     verify_all,
 )
 

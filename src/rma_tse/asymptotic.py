@@ -417,15 +417,17 @@ def f_acc(args: AccShapeArgs, start: Optional[Tuple[float, float]] = None) -> In
 def _grid_resolution(L: int, split: SplitPolicy, grid_points: Optional[int]) -> int:
     """Points per free dimension of the coarse grid that ``r_point`` uses.
 
-    An explicit ``grid_points`` is kept (at least 2); the default shrinks
-    until the grid over omega, L-1 output shares and, with a free split,
-    L-1 check shares fits ``_GRID_BUDGET``.  Either way a grid of more than
-    ``_GRID_MAX_ROWS`` rows raises ``DomainError``, naming the most points
-    per axis that fit, before anything is allocated.
+    An explicit ``grid_points`` is kept, and below 2 raises ``DomainError``;
+    the default shrinks until the grid over omega, L-1 output shares and,
+    with a free split, L-1 check shares fits ``_GRID_BUDGET``.  Either way a
+    grid of more than ``_GRID_MAX_ROWS`` rows raises ``DomainError``, naming
+    the most points per axis that fit, before anything is allocated.
     """
     d = L + (L - 1 if split.is_free else 0)
     if grid_points is not None:
-        g = max(int(grid_points), 2)
+        g = int(grid_points)
+        if g < 2:
+            raise DomainError(f"grid_points must be >= 2, got {grid_points}")
     else:
         g = DEFAULT_GRID_POINTS
         while g > 5 and g**d > _GRID_BUDGET:
@@ -653,7 +655,8 @@ def _refine(query: AsymptoticQuery, seeds: np.ndarray, center: np.ndarray) -> np
     SLSQP gets the box of ``_polytope`` as bounds, its rows as linear
     inequalities, and the gradient of ``_value_and_grad``.  Every constraint
     is tightened toward a strictly feasible point c by the fraction
-    ``_SHRINK`` of its slack there, and every point SLSQP asks for, starting
+    ``_SHRINK`` of its slack there (``_SCREEN_SLACK`` where that fraction is
+    within ROUNDING_TOL of 0), and every point SLSQP asks for, starting
     with the seed, is first pulled toward c into the tightened polytope.  So
     a seed on the boundary is refined too, and every evaluation keeps each
     entropy argument positive and the gradient finite.  c is ``center`` when
@@ -670,13 +673,19 @@ def _refine(query: AsymptoticQuery, seeds: np.ndarray, center: np.ndarray) -> np
     def room(y):
         return np.concatenate([y, hi - y, A @ y + a])
 
+    def margin(slack):
+        # A margin within rounding of the boundary would let the inner solve
+        # drop the terms of a level near 0; it is raised to _SCREEN_SLACK.
+        kept = _SHRINK * slack
+        return np.where(kept > ROUNDING_TOL, kept, _SCREEN_SLACK)
+
     c = center[free]
-    if np.any(room(c) <= 0.0):
+    if np.any(room(c) <= _SCREEN_SLACK):
         c = _deepest(A, a, hi)
-        if np.any(room(c) <= 0.0):
+        if np.any(room(c) <= _SCREEN_SLACK):
             return seeds
-    lower = a - _SHRINK * (A @ c + a)
-    bottom, top = _SHRINK * c, hi - _SHRINK * (hi - c)
+    lower = a - margin(A @ c + a)
+    bottom, top = margin(c), hi - margin(hi - c)
     # Every tightened constraint as G @ y + g >= 0, and its slack at c.
     G = np.concatenate([A, np.eye(c.size), -np.eye(c.size)])
     g = np.concatenate([lower, -bottom, top])

@@ -120,14 +120,6 @@ def _domain_within(config: EnsembleConfig, mode: str, exact_limit: int) -> _Doma
     return dom
 
 
-class _Counts(_Memo):
-    """Component class counts (a_i, a_o, b) -> count, computed on first use."""
-
-    def __init__(self, dom: _Domain, N: int) -> None:
-        super().__init__(lambda key: _count(dom, N, *key))
-        self.dom = dom
-
-
 # A state key starts (a_i of the next level, accumulated a, accumulated b);
 # these functions give the key after a level's move (a_o, b_l).
 def _by_class(key: tuple, a_o: int, b_l: int) -> tuple:
@@ -139,24 +131,29 @@ def _by_path(key: tuple, a_o: int, b_l: int) -> tuple:
     return _by_class(key, a_o, b_l) + key[3:] + ((a_o, b_l),)
 
 
-def _nonzero(counts: _Counts, a_i: int, pairs: Iterable[Tuple[int, int]]) -> list:
-    """(a_o, b_l, count) for each pair whose component count from a_i is nonzero."""
-    zero = counts.dom.zero
-    return [(a_o, b_l, c) for a_o, b_l in pairs if (c := counts[a_i, a_o, b_l]) != zero]
+def _nonzero_counts(dom: _Domain, N: int) -> Callable[[int, Iterable[Tuple[int, int]]], list]:
+    """``nonzero(a_i, pairs)``: (a_o, b_l, count) for each pair whose component
+    count from a_i is nonzero; each count is made on first use and kept."""
+    counts, zero = _Memo(lambda key: _count(dom, N, *key)), dom.zero
+
+    def nonzero(a_i: int, pairs: Iterable[Tuple[int, int]]) -> list:
+        return [(a_o, b_l, c) for a_o, b_l in pairs if (c := counts[a_i, a_o, b_l]) != zero]
+
+    return nonzero
 
 
 def _forward(
     config: EnsembleConfig,
     dom: _Domain,
     ws: Iterable[int],
-    moves: Callable[[int, tuple, _Counts], Iterable[Tuple[int, int, object]]],
+    moves: Callable[[int, tuple], Iterable[Tuple[int, int, object]]],
     step: Callable[[tuple, int, int], tuple] = _by_class,
 ) -> Dict[tuple, object]:
     """One sum-product pass over the levels; returns the final states.
 
     The pass starts at the states (q*w, w, 0, w) with weight C(K, w), one per
     information weight w in ``ws``.  At each level a state takes every move
-    (a_o, b_l, nonzero component count) of ``moves(level, key, counts)``,
+    (a_o, b_l, nonzero component count) of ``moves(level, key)``,
     times the placement factor of its input count, and the terms reaching
     the same ``step`` key are summed.  Values stay scaled by N! per level.
 
@@ -167,18 +164,17 @@ def _forward(
     """
     N, mul, place = config.N, dom.mul, dom.place
     exact = dom is _EXACT
-    counts = _Counts(dom, N)
     state = {(config.q * w, w, 0, w): dom.binom(config.K, w) for w in ws}
     for level in range(config.L):
         nxt: Dict[tuple, object] = {}
         for key, value in state.items():
             value = mul(value, place(N, key[0]))
             if exact:
-                for a_o, b_l, cnt in moves(level, key, counts):
+                for a_o, b_l, cnt in moves(level, key):
                     k = step(key, a_o, b_l)
                     nxt[k] = nxt.get(k, 0) + value * cnt
             else:
-                for a_o, b_l, cnt in moves(level, key, counts):
+                for a_o, b_l, cnt in moves(level, key):
                     nxt.setdefault(step(key, a_o, b_l), []).append(mul(value, cnt))
         state = nxt if exact else {key: dom.total(terms) for key, terms in nxt.items()}
     return state
@@ -204,9 +200,9 @@ def conditional_tse(
         if not 0 <= a_o <= N or not 0 <= b_l <= N:
             raise RangeError(f"level entry ({a_o}, {b_l}) outside [0, {N}]")
 
+    nonzero = _nonzero_counts(dom, N)
     state = _forward(
-        config, dom, [profile.w],
-        lambda level, key, counts: _nonzero(counts, key[0], [profile.levels[level]]),
+        config, dom, [profile.w], lambda level, key: nonzero(key[0], [profile.levels[level]])
     )
     return dom.finish(dom.total(state.values()), N, config.L)
 
@@ -225,8 +221,9 @@ def ensemble_tse(
     _validate_class(config, cls)
     dom = _domain_within(config, mode, EXACT_CLASS_N_MAX)
     N, L = config.N, config.L
+    nonzero = _nonzero_counts(dom, N)
 
-    def moves(level: int, key: tuple, counts: _Counts):
+    def moves(level: int, key: tuple):
         # Stay inside the class; the last level takes the rest of it.
         a_i, a_rem, b_rem = key[0], cls.a - key[1], cls.b - key[2]
         if level == L - 1:
@@ -237,7 +234,7 @@ def ensemble_tse(
                 for a_o in range(min(a_rem, N - 1) + 1)
                 for b_l in range(a_i % 2, min(b_rem, N) + 1, 2)
             )
-        return _nonzero(counts, a_i, pairs)
+        return nonzero(a_i, pairs)
 
     state = _forward(
         config, dom, range(min(config.K, cls.a) + 1), moves, _by_path if breakdown else _by_class
@@ -265,7 +262,7 @@ def ensemble_table(
     for (a_i, a_o, b_l), cnt in acc_iotse_table(N, mode).entries.items():
         rows.setdefault(a_i, []).append((a_o, b_l, cnt))
 
-    def moves(level: int, key: tuple, counts: _Counts):
+    def moves(level: int, key: tuple):
         return rows.get(key[0], ())
 
     state = _forward(config, dom, range(config.K + 1), moves)
@@ -291,9 +288,10 @@ def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:
     dom = _domain_within(config, mode, EXACT_CLASS_N_MAX)
     N, last = config.N, config.L - 1
     free = [(a_o, 0) for a_o in range(N)]
+    nonzero = _nonzero_counts(dom, N)
 
-    def moves(level: int, key: tuple, counts: _Counts):
-        return _nonzero(counts, key[0], [(d, 0)] if level == last else free)
+    def moves(level: int, key: tuple):
+        return nonzero(key[0], [(d, 0)] if level == last else free)
 
     # States merge by input count alone: the class (a, b) is not asked for.
     state = _forward(config, dom, range(config.K + 1), moves, lambda k, a_o, b_l: (a_o, 0, 0))

@@ -2,7 +2,11 @@
 
 Three routes that never touch the closed forms:
 
-* ``trellis_dp`` walks all extended-trellis paths by dynamic programming.
+* ``trellis_dp`` walks all extended-trellis paths by dynamic programming,
+  one section at a time over the eight labelled edges s_i/c/s_o of
+  ``acc.EXTENDED_TRELLIS_EDGES``.  The closed form never reads that table,
+  and ``exhaustive_acc`` states the check rule on its own, so a wrong edge
+  fails the cross-checks.
 * ``exhaustive_acc`` enumerates every (input subset, output subset) pair of
   one accumulator by bitmask and tallies the induced unsatisfied checks.
 * ``graph_ensemble_average`` builds the literal layered Tanner graph for
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import acc as _acc
 from . import ensemble as _ensemble
-from .acc import IotseTable, RangeError, ResourceLimitError
+from .acc import EXTENDED_TRELLIS_EDGES, IotseTable, RangeError, ResourceLimitError
 from .combinatorics import binomial
 from .ensemble import EnsembleConfig
 
@@ -39,7 +43,6 @@ __all__ = [
     "OracleReport",
     "VerifyLimits",
     "trellis_dp",
-    "trellis_dp_tables",
     "exhaustive_acc",
     "build_factor_graph",
     "graph_ensemble_average",
@@ -78,33 +81,22 @@ def _trellis_states(n_max: int):
         raise RangeError(f"block length must be >= 1, got {n_max}")
     if n_max > TRELLIS_N_MAX:
         raise ResourceLimitError(f"trellis DP capped at N={TRELLIS_N_MAX}")
-    # Every count at k <= n, and each partial sum u, v below, is at most
-    # C(n, n//2) * 2^n: C(k, a_o) output subsets of weight a_o times 2^k input
-    # subsets.  That is below 2^63 up to n = 32.  Past it int64 would wrap
+    # A cell counts the length-k prefix paths of one (state, a_i, a_o, b): at
+    # most C(k, a_o) output subsets times 2^k input subsets, so at most
+    # C(n, n//2) * 2^n, and each += below adds to it a disjoint part of those
+    # paths.  That is below 2^63 up to n = 32.  Past it int64 would wrap
     # silently, with no warning, so the walk holds Python ints instead.
     fits_int64 = math.comb(n_max, n_max // 2) << n_max < 1 << 63
     dp = np.zeros((2,) + (n_max + 1,) * 3, dtype=np.int64 if fits_int64 else object)
     dp[0, 0, 0, 0] = 1  # over (state, a_i, a_o, b)
     for k in range(1, n_max + 1):
-        s0, s1 = dp[0, :k, :k, :k], dp[1, :k, :k, :k]
-        # The edge from state s on input bit s_i to state s_o has check bit
-        # c = s_i ^ s ^ s_o: c0 = s_i ^ s_o from state 0 and 1 - c0 from
-        # state 1.  u sums both states' counts for c0 = 0 and v for c0 = 1,
-        # each shifted in b by its own c.
-        u = np.zeros((k, k, k + 1), dtype=dp.dtype)
-        v = np.zeros_like(u)
-        u[..., :k] = s0
-        u[..., 1:] += s1
-        v[..., 1:] = s0
-        v[..., :k] += s1
-        to0 = dp[0, : k + 1, :k, : k + 1]  # s_o = 0: c0 = s_i
-        to0[...] = 0
-        to0[:k] += u
-        to0[1:] += v
-        to1 = dp[1, : k + 1, 1 : k + 1, : k + 1]  # s_o = 1: c0 = 1 - s_i, a_o + 1
-        to1[...] = 0
-        to1[:k] += v
-        to1[1:] += u
+        prev = dp[:, :k, :k, :k].copy()
+        dp[:, : k + 1, : k + 1, : k + 1] = 0
+        # An edge s_i/c/s_o takes a path to its to_state and adds s_i, s_o, c
+        # to its a_i, a_o, b: one shifted window per edge.
+        for e in EXTENDED_TRELLIS_EDGES:
+            window = dp[e.to_state, e.s_i : e.s_i + k, e.s_o : e.s_o + k, e.c : e.c + k]
+            window += prev[e.from_state]
         yield k, dp[0, : k + 1, : k + 1, : k + 1]
 
 
@@ -125,15 +117,6 @@ def trellis_dp(N: int) -> IotseTable:
     for k, counts in _trellis_states(N):
         pass
     return _harvest(k, counts)
-
-
-def trellis_dp_tables(n_max: int) -> Dict[int, IotseTable]:
-    """Tables for every block length 1..n_max from a single DP pass.
-
-    Length-k prefixes ending in state 0 are exactly the terminated length-k
-    paths, so the harvest at position k equals ``trellis_dp(k)``.
-    """
-    return {k: _harvest(k, counts) for k, counts in _trellis_states(n_max)}
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +198,7 @@ def _code_node_bit(config: EnsembleConfig, level: int, pos: int) -> Optional[int
 
 def build_factor_graph(config: EnsembleConfig, perms: Sequence[Permutation]) -> FactorGraph:
     """Assemble the check adjacency for one tuple of interleavers."""
-    N, K, q, L = config.N, config.K, config.q, config.L
+    N, q, L = config.N, config.q, config.L
     if len(perms) != L:
         raise RangeError(f"need {L} interleavers, got {len(perms)}")
     for p in perms:
@@ -240,12 +223,11 @@ def build_factor_graph(config: EnsembleConfig, perms: Sequence[Permutation]) -> 
             if bit is not None:
                 m |= 1 << bit
             masks.append(m)
-    universe = K + L * (N - 1)
     return FactorGraph(
         config=config,
         perms=tuple(tuple(p) for p in perms),
         check_masks=tuple(masks),
-        universe_size=universe,
+        universe_size=config.a_max,
     )
 
 
@@ -257,8 +239,7 @@ def graph_ensemble_average(config: EnsembleConfig) -> Dict[Tuple[int, int], Frac
     """
     if config.K > 3 or config.q > 2 or config.L > 2:
         raise RangeError("graph oracle supports K <= 3, q <= 2, L <= 2")
-    N, L, K = config.N, config.L, config.K
-    universe = K + L * (N - 1)
+    N, L, universe = config.N, config.L, config.a_max
     n_tuples = math.factorial(N) ** L
     if n_tuples * (1 << universe) > GRAPH_OP_BUDGET:
         raise ResourceLimitError(
@@ -488,7 +469,7 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
         ):
             config = EnsembleConfig(q=q, K=k, L=l_levels)
             total = sum(_ensemble.ensemble_table(config).values(), Fraction(0))
-            yield (q, k, l_levels), total, 1 << (config.K + config.L * (config.N - 1))
+            yield (q, k, l_levels), total, 1 << config.a_max
 
     def codeword_support():
         # Every encoded word whose accumulators terminate induces b = 0.
@@ -525,7 +506,7 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
         graph_table = graph_ensemble_average(config)
         composed = _ensemble.ensemble_table(config)
         total = sum(graph_table.values(), Fraction(0))
-        expect = 1 << (config.K + config.L * (config.N - 1))
+        expect = 1 << config.a_max
         mass = None if total == expect else Mismatch(("total",), str(total), str(expect))
         comparisons += [
             _first_mismatch(f"graph_vs_ensemble_{tag}", _table_triples(graph_table, composed)),

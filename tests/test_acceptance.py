@@ -30,12 +30,12 @@ from rma_tse.ensemble import (
     ensemble_table,
     ensemble_tse,
 )
-from rma_tse.oracles import exhaustive_acc, graph_ensemble_average, trellis_dp_tables
+from rma_tse.oracles import _harvest, _trellis_states, exhaustive_acc, graph_ensemble_average
 
 
 @pytest.fixture(scope="module")
 def dp_tables32():
-    return trellis_dp_tables(32)
+    return {n: _harvest(n, counts) for n, counts in _trellis_states(32)}
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,7 +106,10 @@ class TestGridResolution:
 
     def test_explicit_points_kept(self):
         assert _grid_resolution(4, SplitPolicy.free(), 7) == 7
-        assert _grid_resolution(2, SplitPolicy.free(), 1) == 2
+        assert _grid_resolution(2, SplitPolicy.free(), 2) == 2
+        for points in (1, 0, -5):
+            with pytest.raises(DomainError, match=f"grid_points must be >= 2, got {points}"):
+                _grid_resolution(2, SplitPolicy.free(), points)
 
     def test_ceiling(self):
         free = SplitPolicy.free()
@@ -310,6 +314,20 @@ class TestRPoint:
             fixed = r_point(AsymptoticQuery(q=3, L=4, alpha=alpha, beta=0.1 * alpha,
                                             split=SplitPolicy.fixed(fractions)))
             assert point.r >= fixed.r - 1e-6, fractions
+        _check_witness(query, point)
+
+    @pytest.mark.parametrize("grid_points", [2, 3])
+    def test_coarse_grid_refines_from_corner(self, grid_points):
+        # The only grid peak is the origin and the centre is the LP point
+        # (5e-4, 5e-4, 5e-4): a margin of 1e-9 of its slack, 5e-13, pulled
+        # the seed to where the inner solve drops level 1, the first gradient
+        # was NaN and SLSQP stopped at r = 0.00628045221.
+        query = AsymptoticQuery(q=3, L=2, alpha=0.01, beta=0.001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            point = r_point(query, grid_points=grid_points)
+        assert point.r >= r_point(query, grid_points=5).r - 1e-9
+        assert point.r >= 0.00628671469 - 1e-9
         _check_witness(query, point)
 
 

@@ -119,6 +119,17 @@ class TestAsymCommands:
         assert "ceiling" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", ["1", "0", "-5"])
+    def test_grid_points_below_2_exit_1(self, points, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["asym-sweep", "--delta", "0.1", "--grid-points", points,
+                    "--out", str(out)]) == 1
+        assert f"grid_points must be >= 2, got {points}" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["asym-point", "--q", "3", "--L", "2", "--alpha", "0.1", "--beta", "0.01",
+                    "--grid-points", points]) == 1
+        assert f"grid_points must be >= 2, got {points}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [["--delta", "nan"], ["--delta", "0.1", "--alpha-max", "nan"]])
     def test_asym_sweep_non_finite_exit_1(self, args, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

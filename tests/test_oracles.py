@@ -20,15 +20,21 @@ from rma_tse.oracles import (
     Mismatch,
     VerifyLimits,
     _first_mismatch,
+    _harvest,
     _table_triples,
+    _trellis_states,
     build_factor_graph,
     encode,
     exhaustive_acc,
     graph_ensemble_average,
     trellis_dp,
-    trellis_dp_tables,
     verify_all,
 )
+
+
+def _walk_tables(n_max):
+    """The class table at every prefix length of one trellis walk."""
+    return {k: _harvest(k, counts) for k, counts in _trellis_states(n_max)}
 
 
 class TestTrellisDp:
@@ -39,7 +45,7 @@ class TestTrellisDp:
         assert trellis_dp(3).get(2, 1, 0) == 2
 
     def test_prefix_harvest_equals_direct(self):
-        tables = trellis_dp_tables(8)
+        tables = _walk_tables(8)
         for n in range(1, 9):
             assert tables[n].entries == trellis_dp(n).entries
 
@@ -86,7 +92,7 @@ class TestArrayPassesEqualReferences:
 
     @pytest.mark.parametrize("n_max", [32, REF_N])  # an int64 walk and a Python-int walk
     def test_trellis_tables(self, walked, n_max):
-        tables = trellis_dp_tables(n_max)
+        tables = _walk_tables(n_max)
         assert sorted(tables) == list(range(1, n_max + 1))
         for n, table in tables.items():
             assert table.N == n and table.mode == "exact"
@@ -269,6 +275,17 @@ class TestVerifyAll:
         exhaustive = next(c for c in report.comparisons if c.name == "trellis_vs_exhaustive")
         assert exhaustive.checked == sum(len(trellis_dp(n).entries) for n in range(1, 9))
 
+    @pytest.mark.parametrize("flip", range(8))
+    def test_wrong_edge_fails_gate(self, monkeypatch, flip):
+        # The walk reads its transitions from the edge table; the closed form
+        # never does, so one edge with a flipped check bit must be caught.
+        edges = list(rma_tse.oracles.EXTENDED_TRELLIS_EDGES)
+        edges[flip] = dataclasses.replace(edges[flip], c=1 - edges[flip].c)
+        monkeypatch.setattr(rma_tse.oracles, "EXTENDED_TRELLIS_EDGES", tuple(edges))
+        report = verify_all(rma_tse.cli._QUICK_LIMITS)
+        closed = next(c for c in report.comparisons if c.name == "closed_form_vs_trellis")
+        assert closed.mismatch is not None
+
     def test_one_lazy_trellis_walk(self, monkeypatch):
         # Both trellis comparisons share one walk; no table set is built up front.
         real, walks = rma_tse.oracles._trellis_states, []
@@ -277,13 +294,18 @@ class TestVerifyAll:
             walks.append(n_max)
             return real(n_max)
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("built every trellis table at once")
+        real_harvest, harvested = rma_tse.oracles._harvest, []
+
+        def harvest(n, counts):
+            if counts.shape == (n + 1,) * 3:  # a walk section, not an exhaustive tally
+                harvested.append(n)
+            return real_harvest(n, counts)
 
         monkeypatch.setattr(rma_tse.oracles, "_trellis_states", counting)
-        monkeypatch.setattr(rma_tse.oracles, "trellis_dp_tables", unreachable)
+        monkeypatch.setattr(rma_tse.oracles, "_harvest", harvest)
         assert verify_all(self.QUICK).mismatch_count == 0
         assert walks == [8]
+        assert harvested == list(range(1, 9))  # each length once, as the walk reaches it
 
     def test_exhaustive_after_closed_form_stops(self, monkeypatch):
         # A closed-form mismatch at n = 2 stops that stream; the exhaustive
