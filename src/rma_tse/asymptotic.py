@@ -17,8 +17,8 @@ perspectives over normalized type-2/type-1 event fractions (mu, nu).  The
 objective is concave in (mu, nu) (sum of perspectives of a concave
 function), the nu-maximization has a closed-form stationary point, and the
 stationarity condition of the remaining one-dimensional problem in mu is a
-cubic whose real roots, with the interval ends, contain the maximizer, so
-the inner optimum is found in closed form and certified.  The outer problem
+cubic with exactly one root in the feasible interval, which a bracketed
+Newton iteration finds for many levels at once.  The outer problem
 is low-dimensional: its feasible set is a polytope in (omega, alpha_o_l,
 beta_l), and it is searched by a deterministic coarse grid followed by one
 SLSQP run from each of the best peaks of the grid (grid points that no
@@ -304,109 +304,93 @@ def _nu(ai, ao, b, mu):
     return np.minimum(np.maximum(star, lo), hi)
 
 
-def _inner(ai, ao, b):
+def _inner(ai, ao, b, start=None):
     """Inner optimum (mu, nu, value) elementwise over arrays of one shape.
 
     With nu at its maximum the objective g(mu) is strictly concave on the
     feasible interval [lo, hi], and g' is +inf at lo and -inf at hi.  Its
     stationarity condition, with h = (ai+b)/2 and d = (ai-b)/2,
     4(h-mu)(1-h-mu)(ao-mu)(1-ao-mu) = (mu^2-d^2)(1-2mu)^2, loses its quartic
-    terms: it is the cubic -4mu^3 + (4m+3)mu^2 - 4m mu + 4ps + d^2 = 0 with
-    p = h(1-h), s = ao(1-ao) and m = p + s + d^2, which has exactly one root
-    in [lo, hi].  The best of the three roots (real parts, clipped into
-    the interval) and the two endpoints is therefore the maximum, also when
-    the interval is one point.  Where the interval is empty the value is
-    NEG_INF and mu, nu are NaN.
+    terms: the difference P of its sides is the cubic -4mu^3 + (4m+3)mu^2 -
+    4m mu + 4ps + d^2 with p = h(1-h), s = ao(1-ao) and m = p + s + d^2.
+    Below mu = 1/2, P has the sign of g', so it has exactly one root in
+    [lo, hi] and falls through it.
+
+    Each row solves P = 0 by a bracketed Newton iteration (``rtsafe`` of
+    Press et al., Numerical Recipes, section 9.4) from the midpoint of its
+    interval, or from ``start`` clamped into it.  P is evaluated from the
+    factors of the condition, which keep its sign where the expanded cubic
+    cancels (mu near 1/2); P' = 4(1-2mu)(3mu/2 - m) and P'' come from the
+    expansion.  The sign of P shrinks the bracket.  A step is Newton's,
+    divided by Halley's factor 1 - P P''/(2P'^2) kept within [1/2, 2], so
+    that it does not stall where P' vanishes (as at the double root
+    mu = 1/2 = hi of P when h = ao = 1/2); it is a bisection instead where it
+    would leave the bracket or is not a number.  A row stops when a step
+    moves mu by at most 1e-15 of its size, and is not touched again, so its
+    result does not depend on the other rows.  Where the interval is empty
+    the value is NEG_INF and mu, nu are NaN.
     """
     ai, ao, b = (np.asarray(v, dtype=float) for v in (ai, ao, b))
     lo, hi, feasible = _mu_bounds(ai, ao, b)
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
-    p, s = h * (1.0 - h), ao * (1.0 - ao)
-    m = p + s + d * d
-    # The cubic's roots are the eigenvalues of its companion matrix.  The
-    # balanced eigensolver keeps small roots accurate relative to their size;
-    # Cardano's formula does not when two roots cluster near 0 (small ai, ao
-    # and b), where the maximizer then is one of them.
-    companion = np.zeros(m.shape + (3, 3))
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    companion[..., 0, 2] = p * s + 0.25 * d * d
-    companion[..., 1, 2] = -m
-    companion[..., 2, 2] = m + 0.75
-    roots = np.linalg.eigvals(companion).real
-    lo, hi = lo[..., None], hi[..., None]
-    roots = np.minimum(np.maximum(roots, lo), hi)
-    mu = np.concatenate([roots, lo, hi], axis=-1)
-    args = ai[..., None], ao[..., None], b[..., None]
-    nu = _nu(*args, mu)
-    value = _objective(*args, mu, nu)
-    best = np.argmax(value, axis=-1)[..., None] == np.arange(mu.shape[-1])
-    return (
-        np.where(feasible, (mu * best).sum(axis=-1), math.nan),
-        np.where(feasible, (nu * best).sum(axis=-1), math.nan),
-        np.where(feasible, value.max(axis=-1), NEG_INF),
-    )
-
-
-def _inner_from(ai: float, ao: float, b: float, mu: float) -> InnerOptimum:
-    """Inner optimum by a bracketed Newton iteration on g'(mu) from ``mu``.
-
-    At nu's maximum, g'(mu) = ln[4(h-nu-mu)(1-ao-mu-nu)/(mu^2-d^2)] is
-    decreasing, +inf at the lower end of the feasible interval and -inf at
-    the upper end, so the interval brackets its root; a Newton step that
-    leaves the current bracket is replaced by bisection.
-    """
-    lo, hi, feasible = _mu_bounds(ai, ao, b)
-    if not feasible:
-        return InnerOptimum(math.nan, math.nan, NEG_INF)
-    h, d = 0.5 * (ai + b), 0.5 * (ai - b)
-
-    def slope(m):
-        nu = _nu(ai, ao, b, m)
-        return np.log(4.0 * (h - nu - m) * (1.0 - ao - m - nu)) - np.log(m * m - d * d)
-
-    def curvature(m):
-        return (
-            4.0 / (1.0 - 2.0 * m) - 2.0 * m / (m * m - d * d)
-            - 1.0 / (ao - m) - 1.0 / (1.0 - ao - m) - 1.0 / (h - m) - 1.0 / (1.0 - h - m)
-        )
-
-    below, above = lo, hi
-    mu = np.clip(np.float64(mu), lo, hi)
+    h1, ao1 = 1.0 - h, 1.0 - ao
+    half = np.full_like(h, 0.5)
+    # One column per feasible row (flattened), which leaves when the row
+    # stops: the offsets of the factors of P/4, then m and the bracket.
+    rows = np.flatnonzero(feasible)
+    table = np.array([h, h1, ao, ao1, d, -d, half, half, h * h1 + ao * ao1 + d * d, lo, hi])
+    table = table.reshape(11, -1)[:, rows]
+    if start is None:
+        mu = 0.5 * (table[9] + table[10])
+    else:
+        first = np.broadcast_to(start, lo.shape).ravel()[rows]
+        mu = np.minimum(np.maximum(first, table[9]), table[10])
+    roots = np.full(lo.size, math.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
-            s = slope(mu)
-            if s > 0.0:
-                below = mu
-            elif s < 0.0:
-                above = mu
-            else:  # the root, or NaN on a one-point interval
+            if not rows.size:
                 break
-            step = mu - s / curvature(mu)
-            if not below < step < above:
-                step = 0.5 * (below + above)
-            done = abs(step - mu) <= 1e-15 * step
+            m, below, above = table[8], table[9], table[10]
+            gaps = table[:8] - mu  # h-mu, 1-h-mu, ao-mu, 1-ao-mu, d-mu, -d-mu, 1/2-mu twice
+            pairs = gaps[0::2] * gaps[1::2]
+            quads = pairs[0::2] * pairs[1::2]
+            cubic = quads[0] - quads[1]  # P/4
+            rise = 1.5 * mu
+            tilt = rise - m
+            slope = (gaps[6] + gaps[7]) * tilt  # P'/4
+            np.copyto(below, mu, where=cubic > 0.0)
+            np.copyto(above, mu, where=cubic < 0.0)
+            newton = cubic / slope
+            halley = 1.0 - newton * (0.75 - rise - tilt) / slope  # P''/8 = 3/4 + m - 3mu
+            guess = mu - newton / np.minimum(np.maximum(halley, 0.5), 2.0)
+            step = 0.5 * (below + above)
+            np.copyto(step, guess, where=(below <= guess) & (guess <= above))
+            done = np.abs(step - mu) <= 1e-15 * step
             mu = step
-            if done:
-                break
+            if np.count_nonzero(done):
+                roots[rows[done]] = mu[done]
+                keep = ~done
+                rows, mu, table = rows[keep], mu[keep], table[:, keep]
+        roots[rows] = mu
+    mu = roots.reshape(lo.shape)
     nu = _nu(ai, ao, b, mu)
-    return InnerOptimum(float(mu), float(nu), float(_objective(ai, ao, b, mu, nu)))
+    return mu, nu, np.where(feasible, _objective(ai, ao, b, mu, nu), NEG_INF)
 
 
 def f_acc(args: AccShapeArgs, start: Optional[Tuple[float, float]] = None) -> InnerOptimum:
     """Supremum of the accumulator shape objective over feasible (mu, nu).
 
-    nu is pinned to its closed-form maximum at each mu.  The default path
-    takes mu from the real roots of the cubic stationarity condition in mu.
-    Passing ``start`` instead runs a bracketed Newton iteration on the
-    derivative in mu from ``start[0]``, clamped into the feasible interval
-    (nu follows mu, so ``start[1]`` is not used); any start reaches the same
-    value, as the objective is strictly concave in mu.  Returns value
-    NEG_INF when the feasible polytope is empty.
+    nu is pinned to its closed-form maximum at each mu, and mu solves the
+    cubic stationarity condition in mu by the bracketed Newton iteration of
+    ``_inner``.  It starts from the middle of the feasible interval or, with
+    ``start``, from ``start[0]`` clamped into it (nu follows mu, so
+    ``start[1]`` is not used).  Any start reaches the same value, as the
+    objective is strictly concave in mu; a start that is not finite raises
+    ``DomainError``.  Returns value NEG_INF when the feasible polytope is
+    empty.
     """
-    ai, ao, b = args.alpha_i, args.alpha_o, args.beta
-    if start is not None:
-        return _inner_from(ai, ao, b, start[0])
-    mu, nu, value = _inner(ai, ao, b)
+    mu0 = None if start is None else check_finite("start", start[0])
+    mu, nu, value = _inner(args.alpha_i, args.alpha_o, args.beta, mu0)
     return InnerOptimum(float(mu), float(nu), float(value))
 
 

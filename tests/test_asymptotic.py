@@ -22,6 +22,7 @@ from rma_tse.asymptotic import (
     _eval_candidate,
     _grid_resolution,
     _grid_stage,
+    _inner,
     _mu_bounds,
     _objective,
     _peaks,
@@ -95,6 +96,11 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             f_rep(bad, 2)
 
+    def test_f_acc_start(self, bad):
+        # A NaN start gave InnerOptimum(nan, nan, nan) on a feasible set.
+        with pytest.raises(DomainError, match="start"):
+            f_acc(AccShapeArgs(0.2, 0.3, 0.1), start=(bad, 0.0))
+
 
 class TestGridResolution:
     def test_default_fits_budget(self):
@@ -165,6 +171,36 @@ class TestFAcc:
         # 2.5e-13 past the end is rounding: the interval is the point 2.5e-13.
         assert f_acc(AccShapeArgs(5e-13, 0.0, 0.0), start=start).feasible
 
+    @pytest.mark.parametrize("e", [5e-13, 5.000000000000001e-13])
+    def test_tiny_fractions_stay_stationary(self, e):
+        # Every perspective with t <= ROUNDING_TOL drops out here, so a choice
+        # among candidate mu by value jumped to mu = e, nu = 0 at the larger e.
+        assert f_acc(AccShapeArgs(e, e, e)).mu == pytest.approx(2.0 * e / 3.0, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("ai", [0.5, 0.25, 0.6, 0.999986156])
+    def test_double_root_at_one_half(self, ai):
+        # With h = alpha_o = 1/2 the stationarity cubic is 4(1/2-mu)^2 (1/4 +
+        # d^2 - mu): its root is 1/4 + d^2, and a double root sits on the
+        # interval's upper end 1/2, where the expanded cubic cancels.  At
+        # alpha_i = 0.999986156 the root is 1.9e-10 above the lower end,
+        # and comparing candidates by value returned that end.
+        b = 1.0 - ai
+        d = 0.5 * (ai - b)
+        args = AccShapeArgs(ai, 0.5, b)
+        lo, hi = _mu_bounds(ai, 0.5, b)[:2]
+        for start in (None, (lo, 0.0), (hi, 0.0), (np.nextafter(hi, 0.0), 0.0), (1.0, 0.0)):
+            assert f_acc(args, start=start).mu == pytest.approx(0.25 + d * d, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("ai, ao, b", [(0.25, 0.25, 0.25), (0.5, 0.5, 0.5), (0.25, 0.5, 0.75)])
+    def test_starts_next_to_the_ends(self, ai, ao, b):
+        # The cubic's slope vanishes at the upper end of these intervals, so
+        # a step from next to it moves by less than rounding unless rejected.
+        args = AccShapeArgs(ai, ao, b)
+        base = f_acc(args).value
+        lo, hi = _mu_bounds(ai, ao, b)[:2]
+        for start in (lo, hi, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)):
+            assert abs(f_acc(args, start=(start, 0.0)).value - base) <= 1e-12
+
     def test_matches_dense_grid(self):
         rng = np.random.default_rng(42)
         for _ in range(4):
@@ -222,6 +258,26 @@ class TestFAcc:
             return
         assert opt.value >= grid - 1e-12
         assert abs(restarted.value - opt.value) <= 1e-9
+
+
+class TestInnerBatch:
+    def test_rows_independent_of_batch(self):
+        # Grid values must not depend on how _grid_stage blocks its rows.
+        rng = np.random.default_rng(16)
+        uniform = rng.uniform(0.0, 1.0, (2048, 3))
+        small = 10.0 ** rng.uniform(-9.0, -1.0, (1536, 3))
+        u = rng.uniform(0.0, 0.1, 512)
+        infeasible = np.column_stack([u, u, 0.5 + 4.0 * u])  # |ai - b| / 2 > ao
+        block = rng.permutation(np.concatenate([uniform, small, infeasible]))
+        ai, ao, b = block.T
+        batch = _inner(ai, ao, b)
+        one_by_one = np.array([_inner(*row) for row in block]).T
+        lo, hi, feasible = _mu_bounds(ai, ao, b)
+        from_middle = _inner(ai, ao, b, 0.5 * (lo + hi))
+        assert 0 < np.count_nonzero(feasible) < block.shape[0]
+        for got, row_wise, restarted in zip(batch, one_by_one, from_middle):
+            np.testing.assert_array_equal(got, row_wise)
+            np.testing.assert_array_equal(got, restarted)
 
 
 class TestConcavity:
