@@ -12,6 +12,7 @@ from rma_tse import asymptotic
 from rma_tse.asymptotic import (
     _GRID_MAX_ROWS,
     _N_SEEDS,
+    _ROW_SOLVE_MAX,
     _SCREEN_BLOCK,
     DEFAULT_GRID_POINTS,
     AccShapeArgs,
@@ -234,6 +235,8 @@ class TestFAcc:
         "alpha_o=alpha_i": (0.3, 0.3, 0.1),
         "alpha_o=0": (0.2, 0.0, 0.2),
         "one-point-mu-interval": (0.5, 0.2, 0.1),  # alpha_o = |d|: optimum at both ends
+        "double-root": (0.5, 0.5, 0.5),  # h = alpha_o = 1/2: P' = 0 at the upper end
+        "alpha_o=1": (0.0, 1.0, 0.0),  # t = 1 - alpha_o = 0: s / inf, and entropy at 0
     }
 
     @pytest.mark.parametrize("ai, ao, b", BRANCH_CASES.values(), ids=BRANCH_CASES.keys())
@@ -260,24 +263,47 @@ class TestFAcc:
         assert abs(restarted.value - opt.value) <= 1e-9
 
 
+def _assert_same_bits(got, want):
+    # NaN in the same places and equal bits elsewhere, so -0.0 != 0.0.
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_array_equal(np.where(np.isnan(got), 0.0, got).view(np.int64),
+                                  np.where(np.isnan(want), 0.0, want).view(np.int64))
+
+
 class TestInnerBatch:
+    # Rows where a float path could part from numpy's: the double root at
+    # h = alpha_o = 1/2, where P' = 0 at the upper end mu = 1/2, and rows
+    # whose nu* is -0.0, which numpy's maximum turns into 0.0.
+    DEGENERATE = [(0.5, 0.5, 0.5), (1e-13, 1.0, 0.0), (0.0, 1.0, 1e-13)]
+
     def test_rows_independent_of_batch(self):
-        # Grid values must not depend on how _grid_stage blocks its rows.
+        # Grid values must not depend on how _grid_stage blocks its rows, nor
+        # on which side of _ROW_SOLVE_MAX a call falls: the per-row path of
+        # small calls must give the array path's bits.
         rng = np.random.default_rng(16)
         uniform = rng.uniform(0.0, 1.0, (2048, 3))
         small = 10.0 ** rng.uniform(-9.0, -1.0, (1536, 3))
         u = rng.uniform(0.0, 0.1, 512)
         infeasible = np.column_stack([u, u, 0.5 + 4.0 * u])  # |ai - b| / 2 > ao
-        block = rng.permutation(np.concatenate([uniform, small, infeasible]))
+        block = rng.permutation(np.concatenate([uniform, small, infeasible, self.DEGENERATE]))
         ai, ao, b = block.T
-        batch = _inner(ai, ao, b)
-        one_by_one = np.array([_inner(*row) for row in block]).T
         lo, hi, feasible = _mu_bounds(ai, ao, b)
-        from_middle = _inner(ai, ao, b, 0.5 * (lo + hi))
         assert 0 < np.count_nonzero(feasible) < block.shape[0]
-        for got, row_wise, restarted in zip(batch, one_by_one, from_middle):
-            np.testing.assert_array_equal(got, row_wise)
-            np.testing.assert_array_equal(got, restarted)
+        batch = _inner(ai, ao, b)
+        from_middle = _inner(ai, ao, b, 0.5 * (lo + hi))
+        one_by_one = np.array([_inner(*row) for row in block]).T
+        for got, restarted, row_wise in zip(batch, from_middle, one_by_one):
+            _assert_same_bits(restarted, got)
+            _assert_same_bits(row_wise, got)
+        for start in (None, hi):  # from hi, P' = 0 at the first step of the double root
+            whole = _inner(ai, ao, b, start)
+            for size in (1, _ROW_SOLVE_MAX, _ROW_SOLVE_MAX + 1):
+                pieces = [_inner(ai[i:i + size], ao[i:i + size], b[i:i + size],
+                                 None if start is None else start[i:i + size])
+                          for i in range(0, block.shape[0], size)]
+                for got, pieced in zip(whole, zip(*pieces)):
+                    _assert_same_bits(np.concatenate(pieced), got)
 
 
 class TestConcavity:

@@ -17,6 +17,7 @@ from rma_tse.asymptotic import (
     LevelWitness,
     OptimizerWitness,
     SweepSpec,
+    sweep,
 )
 from rma_tse.cli import (
     _run_sweep,
@@ -393,6 +394,15 @@ class TestTableWriter:
                     "--split", "fixed:0.5,0.5"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "362133dc4a583c1fdefeeaebf18ce0504d72ac36faec0244393204e9e53ed9f9"
+        )
+
+    def test_fig7_l3_bytes_pinned(self, tmp_path):
+        # An L=3 sweep: its refinement evaluates three levels per point, where
+        # the sweep above evaluates two.
+        (spec, name), = [job for job in preset_sweeps("fig7") if job[0].L == 3]
+        emit_sweep_csv(spec, sweep(spec), str(tmp_path / name))
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == (
+            "77170a438c13d7784ef98f27f4d8f9b93d256478c0a618be740d22f671cc2078"
         )
 
 
