@@ -568,27 +568,29 @@ def _upper(query: AsymptoticQuery) -> np.ndarray:
     )
 
 
-def _unpack(query: AsymptoticQuery, x: np.ndarray):
+def _unpack(query: AsymptoticQuery, x: np.ndarray, level_map=None):
     """Free vectors (rows of ``x``) -> ((alpha_i, alpha_o, beta), ok).
 
     Each fraction has one row per free vector and one column per level and
     is clamped into [0, 1]; a row is infeasible (``ok`` false) when a
     fraction leaves [0, 1] by more than the tolerance, which only the pinned
-    shares of the last level can do inside the box.
+    shares of the last level can do inside the box.  ``level_map`` is the
+    query's ``_level_map``, made here when not given.
     """
-    K, k = _level_map(query)
+    K, k = _level_map(query) if level_map is None else level_map
     levels = np.swapaxes(K @ x.T, 1, 2) + k[:, None, :]
     ok = np.all((levels >= -ROUNDING_TOL) & (levels <= 1.0 + ROUNDING_TOL), axis=(0, 2))
     return np.clip(levels, 0.0, 1.0), ok
 
 
-def _eval_candidate(query: AsymptoticQuery, x: np.ndarray):
+def _eval_candidate(query: AsymptoticQuery, x: np.ndarray, level_map=None):
     """Outer objective of each free vector (row of ``x``); NEG_INF if infeasible.
 
     Returns (values, (alpha_i, alpha_o, beta, mu, nu)), the latter with one
     column per level.  One inner solve covers every level of every row.
+    ``level_map`` is passed on to ``_unpack``.
     """
-    (ai, ao, b), ok = _unpack(query, x)
+    (ai, ao, b), ok = _unpack(query, x, level_map)
     mu, nu, inner = _inner(ai, ao, b)
     h_omega = _entropy(ai[:, 0])
     values = h_omega / query.q - h_omega + inner.sum(axis=1) - _entropy(ao[:, :-1]).sum(axis=1)
@@ -618,7 +620,8 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
     level but the last.  Every logarithm is finite strictly inside the
     feasible polytope.
     """
-    values, (ai, ao, b, mu, _) = _eval_candidate(query, x[None, :])
+    K, k = _level_map(query)
+    values, (ai, ao, b, mu, _) = _eval_candidate(query, x[None, :], (K, k))
     ai, ao, b, mu = ai[0], ao[0], b[0], mu[0]
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
     pinned = h <= np.abs(d)  # beta = 0, or below rounding next to alpha_i
@@ -644,7 +647,6 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
     slopes[2] = np.where(pinned, 0.0, 0.5 * (rate - bias))
     slopes[1, :-1] -= np.log((1.0 - ao[:-1]) / ao[:-1])
     slopes[0, 0] += (1.0 / query.q - 1.0) * np.log((1.0 - ai[0]) / ai[0])
-    K, _ = _level_map(query)
     return float(values[0]), np.einsum("vl,vln->n", slopes, K)
 
 

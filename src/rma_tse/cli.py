@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or I/O error, 2 infeasible asymptotic query,
 3 verification mismatch.  ``TSE_THREADS`` sets the sweep worker count (at
 most one per alpha and per CPU); a ``--config`` file of ``key=value`` lines
-supplies argument defaults (command line wins).
+supplies argument defaults (command line wins).  Only the ``asym-*``
+commands import ``asymptotic``, and with it scipy.
 """
 
 from __future__ import annotations
@@ -17,20 +18,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
-from . import acc, asymptotic, ensemble, oracles
+from . import acc, ensemble, oracles
 from .acc import AccTriple, RangeError, ResourceLimitError
-from .asymptotic import (
-    AsymptoticPoint,
-    AsymptoticQuery,
-    SplitPolicy,
-    SweepSpec,
-    r_point,
-    sweep,
-)
 from .combinatorics import DomainError
 from .ensemble import EnsembleConfig, TrappingSetClass
+
+if TYPE_CHECKING:
+    from .asymptotic import AsymptoticPoint, SplitPolicy, SweepSpec
 
 __all__ = [
     "run",
@@ -74,6 +70,8 @@ def emit_sweep_csv(spec: SweepSpec, points: Iterable[AsymptoticPoint], destinati
     ``r_clamped = max(r, 0)``, omega, then the witness of each level.  A
     point without a witness gets NaN witness cells.
     """
+    from . import asymptotic
+
     L = spec.L
     grid = asymptotic._grid_resolution(L, spec.split, spec.grid_points)
     header = ["alpha", "beta", "r", "r_clamped", "omega"]
@@ -155,6 +153,8 @@ def parse_table_json(text: str) -> Tuple[str, Dict, Dict]:
 
 
 def _parse_split(text: str) -> SplitPolicy:
+    from .asymptotic import SplitPolicy
+
     if text == "free":
         return SplitPolicy.free()
     if text.startswith("fixed:"):
@@ -290,6 +290,8 @@ def _alpha_grid(lo: float, hi: float, steps: int) -> Tuple[float, ...]:
 
 def preset_sweeps(name: str) -> List[Tuple[SweepSpec, str]]:
     """Figure-style sweep bundles (q defaults to 3 where unspecified)."""
+    from .asymptotic import SplitPolicy, SweepSpec
+
     presets = {  # (delta, q, L, split fractions, file name) of each sweep
         "fig4": [(d, 3, 2, (0.5, 0.5), f"fig4_delta{_fmt(d)}.csv") for d in (0.0, 0.05, 0.1, 0.2)],
         "fig5": [(0.1, 3, 2, (f1, 1.0 - f1), f"fig5_beta1_{_fmt(f1)}.csv")
@@ -305,12 +307,14 @@ def preset_sweeps(name: str) -> List[Tuple[SweepSpec, str]]:
 
 
 def _run_sweep(spec: SweepSpec) -> List[AsymptoticPoint]:
+    from . import asymptotic
+
     workers = _workers(len(spec.alpha_grid))
     if workers <= 1:
-        return sweep(spec)
+        return asymptotic.sweep(spec)
     slices = [dataclasses.replace(spec, alpha_grid=(alpha,)) for alpha in spec.alpha_grid]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [point for points in pool.map(sweep, slices) for point in points]
+        return [point for points in pool.map(asymptotic.sweep, slices) for point in points]
 
 
 def _open_out(path: str):
@@ -393,9 +397,12 @@ def _cmd_ensemble_table(args) -> int:
 
 
 def _cmd_asym_point(args) -> int:
+    from . import asymptotic
+
     split = _parse_split(args.split)
-    query = AsymptoticQuery(q=args.q, L=args.L, alpha=args.alpha, beta=args.beta, split=split)
-    point = r_point(query, grid_points=args.grid_points)
+    query = asymptotic.AsymptoticQuery(q=args.q, L=args.L, alpha=args.alpha, beta=args.beta,
+                                       split=split)
+    point = asymptotic.r_point(query, grid_points=args.grid_points)
     if not point.feasible:
         print("infeasible query: no admissible witness", file=sys.stderr)
         return 2
@@ -410,6 +417,8 @@ def _cmd_asym_point(args) -> int:
 
 
 def _cmd_asym_sweep(args) -> int:
+    from .asymptotic import SweepSpec
+
     given = ["--" + name.replace("_", "-") for name in _SWEEP_DEFAULTS if name in vars(args)]
     config = getattr(args, "config", {})  # config lines never count as given
     args = argparse.Namespace(**{**_SWEEP_DEFAULTS, **config, **vars(args)})

@@ -35,8 +35,9 @@ def facc_grid_max(ai: float, ao: float, b: float, n: int = 2000, tol: float = _T
     mu_lo = max(abs(ai - b) / 2.0, 0.0)
     nu_lo = max(0.0, (ai + b) / 2.0 - ao)
     mu_hi = min(ao, 1.0 - ao, min(1.0 - ao, (ai + b) / 2.0) - nu_lo)
-    if mu_lo > mu_hi:
+    if mu_lo > mu_hi + tol:
         return -np.inf
+    mu_hi = max(mu_hi, mu_lo)  # an interval empty by at most tol is one point
     nu_hi = min(1.0 - ao - mu_lo, (ai + b) / 2.0 - mu_lo)
     nus = np.linspace(nu_lo, max(nu_hi, nu_lo), n)[None, :]
     half = (ai + b) / 2.0

@@ -237,6 +237,7 @@ class TestFAcc:
         "one-point-mu-interval": (0.5, 0.2, 0.1),  # alpha_o = |d|: optimum at both ends
         "double-root": (0.5, 0.5, 0.5),  # h = alpha_o = 1/2: P' = 0 at the upper end
         "alpha_o=1": (0.0, 1.0, 0.0),  # t = 1 - alpha_o = 0: s / inf, and entropy at 0
+        "mu-interval-within-rounding": (1e-13, 1.0, 0.0),  # mu_lo = 5e-14 > mu_hi = 0
     }
 
     @pytest.mark.parametrize("ai, ao, b", BRANCH_CASES.values(), ids=BRANCH_CASES.keys())

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rma_tse.acc
+import rma_tse.asymptotic
 import rma_tse.cli
 import rma_tse.oracles
 from rma_tse.acc import IotseTable, acc_iotse_table
@@ -646,7 +647,7 @@ class TestWorkerCount:
                 return [fn(job) for job in jobs]
 
         monkeypatch.setattr(rma_tse.cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(rma_tse.cli, "sweep", lambda spec: list(spec.alpha_grid))
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", lambda spec: list(spec.alpha_grid))
         return created
 
     @staticmethod

@@ -1,7 +1,39 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+
+import pytest
 
 import rma_tse
+
+# The asymptotic names ``rma_tse`` re-exports; they load with scipy on first use.
+LAZY_NAMES = (
+    "AccShapeArgs", "AsymptoticPoint", "AsymptoticQuery", "InnerOptimum", "LevelWitness",
+    "OptimizerWitness", "SplitPolicy", "SweepSpec", "f_acc", "f_rep", "r_point", "sweep",
+)
+
+# Every ``tse`` command outside the asymptotic layer, on small inputs.
+EXACT_COMMANDS = (
+    ["verify", "--quick"],
+    ["acc", "--N", "3", "--ai", "2", "--ao", "1", "--b", "0"],
+    ["acc-table", "--N", "4"],
+    ["ensemble", "--q", "2", "--K", "2", "--L", "1", "--a", "1", "--b", "2"],
+    ["ensemble-table", "--q", "2", "--K", "2", "--L", "2"],
+    ["oracle", "--which", "trellis", "--N", "4"],
+)
+
+
+def _fresh(code: str):
+    """Run ``code`` in a new interpreter on this ``rma_tse``; return its last stdout line as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rma_tse.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_every_all_name_resolves():
@@ -14,3 +46,50 @@ def test_every_all_name_resolves():
         assert missing == [], f"rma_tse.{info.name}.__all__ names missing: {missing}"
         checked += 1
     assert checked >= 6
+
+
+def test_exact_commands_leave_scipy_unloaded():
+    result = _fresh(
+        "import contextlib, io, json, sys\n"
+        "import rma_tse\n"
+        "from rma_tse import cli\n"
+        "codes = []\n"
+        f"for argv in {EXACT_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.run(argv))\n"
+        "print(json.dumps({'codes': codes,\n"
+        "                  'loaded': [m for m in ('scipy', 'rma_tse.asymptotic') if m in sys.modules]}))\n"
+    )
+    assert result == {"codes": [0] * len(EXACT_COMMANDS), "loaded": []}
+
+
+def test_lazy_names_resolve_without_an_import():
+    result = _fresh(
+        "import json, sys\n"
+        "import rma_tse\n"
+        "before = 'rma_tse.asymptotic' in sys.modules\n"
+        "module = rma_tse.asymptotic\n"
+        f"same = [getattr(rma_tse, name) is getattr(module, name) for name in {LAZY_NAMES!r}]\n"
+        "from rma_tse import r_point, SweepSpec\n"
+        "print(json.dumps({'before': before,\n"
+        "                  'module': module is sys.modules['rma_tse.asymptotic'],\n"
+        "                  'same': same, 'from': [r_point is module.r_point,\n"
+        "                                         SweepSpec is module.SweepSpec]}))\n"
+    )
+    assert result == {"before": False, "module": True, "same": [True] * len(LAZY_NAMES),
+                      "from": [True, True]}
+
+
+def test_lazy_names_are_listed_and_public():
+    listed = dir(rma_tse)
+    for name in LAZY_NAMES + ("asymptotic",):
+        assert name in listed
+    for name in LAZY_NAMES:
+        assert name in rma_tse.asymptotic.__all__
+        assert getattr(rma_tse, name) is getattr(rma_tse.asymptotic, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rma_tse.no_such_name
+    assert not hasattr(rma_tse, "no_such_name")
