@@ -63,8 +63,9 @@ from .oracles import (
 
 __version__ = "0.1.0"
 
-# ``rma_tse.asymptotic`` is the only module that imports scipy (0.45-0.6 s
-# and about 50 MiB), so it and the names below load on first access (PEP 562).
+# ``rma_tse.asymptotic`` is the only module that imports scipy, which the
+# exact layers never use, so it and the names below load on first access
+# (PEP 562).
 _ASYMPTOTIC_NAMES = frozenset({
     "AccShapeArgs",
     "AsymptoticPoint",
