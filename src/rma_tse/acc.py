@@ -245,6 +245,21 @@ def _m_range(N: int, d: int, h: int, cap: int) -> range:
     return range(max(1, abs(d)), min(cap, h, N - h) + 1)
 
 
+def _b_range(N: int, a_i: int, a_o: int) -> range:
+    """The b with a nonzero count of class (a_i, a_o, b), in steps of 2.
+
+    For 0 < a_o < N this is where ``_m_range`` is not empty: a_i + b even,
+    |a_i - b| <= 2 min(a_o, N - a_o) and 2 <= a_i + b <= 2N - 2.
+    """
+    if a_o == 0:
+        return range(a_i, a_i + 1)
+    cap = min(a_o, N - a_o)
+    if cap == 0:
+        return range(0)
+    return range(max(a_i - 2 * cap, 2 - a_i, a_i % 2),
+                 min(a_i + 2 * cap, 2 * N - 2 - a_i, N) + 1, 2)
+
+
 def _count(dom: _Domain, N: int, a_i: int, a_o: int, b: int):
     """Count of class (a_i, a_o, b) in ``dom``: the single sum over m."""
     if (a_i + b) % 2:

@@ -89,7 +89,10 @@ def log_sum_exp(terms: Iterable[LogValue]) -> LogValue:
 
     The running sum is taken against the maximum term for stability; an empty
     sequence is an empty sum, i.e. NEG_INF.  The summation order is the input
-    order, which fixes the result bit-for-bit for identical inputs.
+    order, which fixes the result bit-for-bit for identical inputs.  The add
+    stays a plain loop: builtin ``sum()`` compensates float sums since
+    CPython 3.12 and numpy dispatches SIMD exp/log kernels, so either would
+    make the log bits depend on the interpreter or the CPU.
     """
     values = list(terms)
     if not values:

@@ -17,15 +17,22 @@ Every query is one sum-product pass over the levels in the value domain of
 state may take and in which states merge.  Exact mode carries integers
 scaled by a_i!(N - a_i)! = N!/C(N, a_i) per level and divides each output by
 (N!)^L once, as a ``Fraction``.
+
+The moves of ``ensemble_tse``, ``conditional_tse`` and ``ensemble_iowe``
+visit only the support of the component count, the b of ``acc._b_range``
+for each (a_i, a_o), so no zero count is made or looked up.  The counts they
+use are kept per (value domain, N) for every later query at that N.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .acc import (
-    _EXACT, RangeError, ResourceLimitError, _count, _Domain, _domain, _Memo, acc_iotse_table,
+    _EXACT, _ROW_CACHE_SIZE, RangeError, ResourceLimitError, _b_range, _count, _Domain, _domain,
+    _Memo, acc_iotse_table,
 )
 from .combinatorics import ExactRatio, LogValue
 
@@ -131,15 +138,32 @@ def _by_path(key: tuple, a_o: int, b_l: int) -> tuple:
     return _by_class(key, a_o, b_l) + key[3:] + ((a_o, b_l),)
 
 
-def _nonzero_counts(dom: _Domain, N: int) -> Callable[[int, Iterable[Tuple[int, int]]], list]:
-    """``nonzero(a_i, pairs)``: (a_o, b_l, count) for each pair whose component
-    count from a_i is nonzero; each count is made on first use and kept."""
-    counts, zero = _Memo(lambda key: _count(dom, N, *key)), dom.zero
+@functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _support_moves(dom: _Domain, N: int) -> Tuple[Callable[..., list], Callable[..., list]]:
+    """``span(a_i, a_os, b_max)`` and ``pair(a_i, a_o, b)``: the moves
+    (a_o, b_l, count) from a_i with a nonzero component count.
 
-    def nonzero(a_i: int, pairs: Iterable[Tuple[int, int]]) -> list:
-        return [(a_o, b_l, c) for a_o, b_l in pairs if (c := counts[a_i, a_o, b_l]) != zero]
+    ``span`` takes every b_l <= b_max of each a_o of ``a_os``, a_o then b_l
+    ascending; ``pair`` takes (a_o, b) alone.  Only the support
+    ``_b_range`` is visited, so no zero count is made or looked up.  Each
+    count is made on first use and kept for every later query at the same
+    (value domain, N); like ``acc._factor_rows``, at most ``_ROW_CACHE_SIZE``
+    such pairs stay cached.
+    """
+    counts = _Memo(lambda key: _count(dom, N, *key))
 
-    return nonzero
+    def span(a_i: int, a_os: Iterable[int], b_max: int) -> list:
+        out = []
+        for a_o in a_os:
+            bs = _b_range(N, a_i, a_o)
+            bs = range(bs.start, min(bs.stop, b_max + 1), 2)
+            out += [(a_o, b, counts[a_i, a_o, b]) for b in bs]
+        return out
+
+    def pair(a_i: int, a_o: int, b: int) -> list:
+        return [(a_o, b, counts[a_i, a_o, b])] if b in _b_range(N, a_i, a_o) else []
+
+    return span, pair
 
 
 def _forward(
@@ -153,7 +177,8 @@ def _forward(
 
     The pass starts at the states (q*w, w, 0, w) with weight C(K, w), one per
     information weight w in ``ws``.  At each level a state takes every move
-    (a_o, b_l, nonzero component count) of ``moves(level, key)``,
+    (a_o, b_l, nonzero component count) of ``moves(level, key)``, which
+    lists the support only (``_support_moves``),
     times the placement factor of its input count, and the terms reaching
     the same ``step`` key are summed.  Values stay scaled by N! per level.
 
@@ -200,10 +225,12 @@ def conditional_tse(
         if not 0 <= a_o <= N or not 0 <= b_l <= N:
             raise RangeError(f"level entry ({a_o}, {b_l}) outside [0, {N}]")
 
-    nonzero = _nonzero_counts(dom, N)
-    state = _forward(
-        config, dom, [profile.w], lambda level, key: nonzero(key[0], [profile.levels[level]])
-    )
+    pair = _support_moves(dom, N)[1]
+
+    def moves(level: int, key: tuple):
+        return pair(key[0], *profile.levels[level])
+
+    state = _forward(config, dom, [profile.w], moves)
     return dom.finish(dom.total(state.values()), N, config.L)
 
 
@@ -221,20 +248,14 @@ def ensemble_tse(
     _validate_class(config, cls)
     dom = _domain_within(config, mode, EXACT_CLASS_N_MAX)
     N, L = config.N, config.L
-    nonzero = _nonzero_counts(dom, N)
+    span, pair = _support_moves(dom, N)
 
     def moves(level: int, key: tuple):
         # Stay inside the class; the last level takes the rest of it.
         a_i, a_rem, b_rem = key[0], cls.a - key[1], cls.b - key[2]
         if level == L - 1:
-            pairs = [(a_rem, b_rem)] if a_rem <= N - 1 and b_rem <= N else []
-        else:
-            pairs = (
-                (a_o, b_l)
-                for a_o in range(min(a_rem, N - 1) + 1)
-                for b_l in range(a_i % 2, min(b_rem, N) + 1, 2)
-            )
-        return nonzero(a_i, pairs)
+            return pair(a_i, a_rem, b_rem) if a_rem < N else []
+        return span(a_i, range(min(a_rem, N - 1) + 1), b_rem)
 
     state = _forward(
         config, dom, range(min(config.K, cls.a) + 1), moves, _by_path if breakdown else _by_class
@@ -287,11 +308,10 @@ def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:
         raise RangeError(f"d={d} outside [0, {config.N}]")
     dom = _domain_within(config, mode, EXACT_CLASS_N_MAX)
     N, last = config.N, config.L - 1
-    free = [(a_o, 0) for a_o in range(N)]
-    nonzero = _nonzero_counts(dom, N)
+    span, pair = _support_moves(dom, N)
 
     def moves(level: int, key: tuple):
-        return nonzero(key[0], [(d, 0)] if level == last else free)
+        return pair(key[0], d, 0) if level == last else span(key[0], range(N), 0)
 
     # States merge by input count alone: the class (a, b) is not asked for.
     state = _forward(config, dom, range(config.K + 1), moves, lambda k, a_o, b_l: (a_o, 0, 0))

@@ -5,7 +5,12 @@ forms they replaced: a dict walk over every (state, a_i, a_o, b) of the
 extended trellis, one full input x output matrix per exhaustive tally, and a
 per-mask loop over every membership assignment of every interleaver tuple.
 The tests hold the array passes equal to them, key for key and value for
-value (Python ``int`` counts).  Nothing here is imported by the package.
+value (Python ``int`` counts).
+
+``box_*`` are the ensemble queries with their full move sets: every
+(a_o, b_l) of the class box is counted and the zero counts are dropped.
+``rma_tse.ensemble`` visits only the support of the component count; the
+tests hold it to these bit for bit.  Nothing here is imported by the package.
 """
 
 import itertools
@@ -14,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from rma_tse.acc import _count, _domain
+from rma_tse.ensemble import ConditionalProfile, _by_class, _by_path, _forward
 from rma_tse.oracles import build_factor_graph
 
 
@@ -62,3 +69,51 @@ def graph_average(config):
             key = (mask.bit_count(), sum((mask & cm).bit_count() & 1 for cm in cms))
             tally[key] = tally.get(key, 0) + 1
     return {k: Fraction(v, n_tuples) for k, v in sorted(tally.items())}
+
+
+def _box_moves(dom, N, moves):
+    """``moves(level, key)`` lists (a_o, b_l) pairs; keep those with a nonzero count."""
+    def nonzero(level, key):
+        return [(a_o, b_l, c) for a_o, b_l in moves(level, key)
+                if (c := _count(dom, N, key[0], a_o, b_l)) != dom.zero]
+    return nonzero
+
+
+def box_tse(config, cls, mode, breakdown=False):
+    """``ensemble_tse(...).value`` and its breakdown (None without ``breakdown``)."""
+    dom, N, L = _domain(mode), config.N, config.L
+
+    def moves(level, key):
+        a_i, a_rem, b_rem = key[0], cls.a - key[1], cls.b - key[2]
+        if level == L - 1:
+            return [(a_rem, b_rem)] if a_rem <= N - 1 and b_rem <= N else []
+        return [(a_o, b_l) for a_o in range(min(a_rem, N - 1) + 1)
+                for b_l in range(a_i % 2, min(b_rem, N) + 1, 2)]
+
+    state = _forward(config, dom, range(min(config.K, cls.a) + 1), _box_moves(dom, N, moves),
+                     _by_path if breakdown else _by_class)
+    value = dom.finish(dom.total(state.values()), N, L)
+    if not breakdown:
+        return value, None
+    return value, [(ConditionalProfile(w=key[3], levels=key[4:]), dom.finish(v, N, L))
+                   for key, v in state.items()]
+
+
+def box_conditional(config, profile, mode):
+    """``conditional_tse``: the profile's own pair at each level."""
+    dom = _domain(mode)
+    state = _forward(config, dom, [profile.w],
+                     _box_moves(dom, config.N, lambda level, key: [profile.levels[level]]))
+    return dom.finish(dom.total(state.values()), config.N, config.L)
+
+
+def box_iowe(config, d, mode):
+    """``ensemble_iowe``: every (a_o, 0) at the free levels, (d, 0) at the last."""
+    dom, N = _domain(mode), config.N
+
+    def moves(level, key):
+        return [(d, 0)] if level == config.L - 1 else [(a_o, 0) for a_o in range(N)]
+
+    state = _forward(config, dom, range(config.K + 1), _box_moves(dom, N, moves),
+                     lambda k, a_o, b_l: (a_o, 0, 0))
+    return dom.finish(dom.total(state.values()), N, config.L)

@@ -146,6 +146,41 @@ class TestCountKernel:
         info = rma_tse.acc._factor_rows.cache_info()
         assert 0 < info.currsize <= info.maxsize == rma_tse.acc._ROW_CACHE_SIZE
 
+    @pytest.mark.parametrize("triple, terms", [
+        # m runs over max(1, |d|) = 200 .. min(a_o, N - a_o, h, N - h) = 600.
+        (AccTriple(4000, 1200, 600, 800), 401),
+        # |d| = 1000 > min(a_o, N - a_o) = 300: an empty m-range.
+        (AccTriple(20000, 6000, 300, 4000), 0),
+    ])
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    def test_single_class_makes_only_its_terms(self, mode, triple, terms):
+        # A single class at a large N fills each factor row (A, B, C) at no
+        # more m than its own sum has terms, never whole rows.
+        dom = rma_tse.acc._domain(mode)
+
+        def entries():
+            rows = rma_tse.acc._factor_rows(dom.binom, dom.mul, triple.N)
+            return [sum(map(len, by_key.values())) for by_key in rows]
+
+        before = entries()
+        acc_iotse(triple, mode)
+        assert all(y - x <= terms for x, y in zip(before, entries()))
+
+
+class TestSupport:
+    """``_b_range`` is exactly where a class count is nonzero."""
+
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    def test_equals_nonzero_counts(self, mode):
+        dom = rma_tse.acc._domain(mode)
+        for n in range(1, 31):
+            for a_i in range(n + 1):
+                for a_o in range(n + 1):
+                    support = rma_tse.acc._b_range(n, a_i, a_o)
+                    for b in range(n + 1):
+                        nonzero = rma_tse.acc._count(dom, n, a_i, a_o, b) != dom.zero
+                        assert (b in support) == nonzero, (n, a_i, a_o, b)
+
 
 class TestAccIowe:
     def test_values(self):

@@ -1,10 +1,14 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from _oracle_refs import box_conditional, box_iowe, box_tse
 
+import rma_tse.acc
+import rma_tse.ensemble
 from rma_tse.acc import RangeError, ResourceLimitError
 from rma_tse.combinatorics import binomial
 from rma_tse.ensemble import (
@@ -239,3 +243,85 @@ class TestEnsembleIowe:
                     totals[d] = totals.get(d, Fraction(0)) + value
             for d in range(cfg.N + 1):
                 assert ensemble_iowe(cfg, d) == totals.get(d, 0)
+
+
+def bits(value):
+    """The exact bits of a value: ``float.hex`` of a log, ``repr`` of a Fraction."""
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def profile_bits(breakdown):
+    return [(profile, bits(value)) for profile, value in breakdown]
+
+
+class TestSupportMoves:
+    """The support-only moves against the full move sets (tests/_oracle_refs.py), bit for bit."""
+
+    def check_class(self, cfg, cls, mode):
+        value, breakdown = box_tse(cfg, cls, mode, breakdown=True)
+        assert bits(ensemble_tse(cfg, cls, mode).value) == bits(box_tse(cfg, cls, mode)[0])
+        res = ensemble_tse(cfg, cls, mode, breakdown=True)
+        assert bits(res.value) == bits(value)
+        assert profile_bits(res.breakdown) == profile_bits(breakdown)
+        return breakdown
+
+    def check_profile(self, cfg, profile, mode):
+        expect = box_conditional(cfg, profile, mode)
+        assert bits(conditional_tse(cfg, profile, mode)) == bits(expect)
+
+    def check_iowe(self, cfg, d, mode):
+        assert bits(ensemble_iowe(cfg, d, mode)) == bits(box_iowe(cfg, d, mode))
+
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    def test_random_classes(self, mode):
+        rng, profiles = random.Random(19), 0
+        for L in (1, 2, 3):
+            for _ in range(8):
+                cfg = EnsembleConfig(q=rng.randint(1, 4), K=rng.randint(1, 12 // L + 2), L=L)
+                a = rng.randint(0, cfg.a_max)
+                b = rng.randint(0, min(a, cfg.b_max))
+                breakdown = self.check_class(cfg, TrappingSetClass(a, b), mode)
+                profiles += len(breakdown)
+                for profile, _ in breakdown[:3]:
+                    self.check_profile(cfg, profile, mode)
+                self.check_iowe(cfg, rng.randint(0, cfg.N), mode)
+        assert profiles > 1000  # the classes are not all empty
+
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    def test_every_profile_of_small_chains(self, mode):
+        # Every level entry in [0, N], the support's edges and beyond.
+        for cfg in (EnsembleConfig(q=1, K=8, L=1), EnsembleConfig(q=2, K=3, L=2),
+                    EnsembleConfig(q=1, K=2, L=3)):
+            entries = list(itertools.product(range(cfg.N + 1), repeat=2))
+            for w in range(cfg.K + 1):
+                for levels in itertools.product(entries, repeat=cfg.L):
+                    self.check_profile(cfg, ConditionalProfile(w, levels), mode)
+            for d in range(cfg.N + 1):
+                self.check_iowe(cfg, d, mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    def test_support_edges(self, mode):
+        # L = 1 with q = 1, so the component class is (w, a_o, b): classes and
+        # profiles on each edge of the support, and one or two steps off it.
+        cfg = EnsembleConfig(q=1, K=30, L=1)
+        N = cfg.N
+        edges = [(0, 5, 2), (1, 5, 1), (2, 5, 0), (N - 1, 5, N - 1), (N, 1, N - 2), (N - 2, 1, N)]
+        for a_o in (1, 3, 14, 15, 16, 27, 29):
+            cap = min(a_o, N - a_o)
+            edges += [(b + 2 * cap, a_o, b) for b in (0, 1, 4) if b + 2 * cap <= N]
+            edges += [(a_i, a_o, a_i + 2 * cap) for a_i in (0, 1, 4) if a_i + 2 * cap <= N]
+        for a_i, a_o, b in edges:
+            for da_o, db in ((0, 0), (0, -1), (0, 1), (0, -2), (0, 2), (-1, 0), (1, 0)):
+                lv = (a_o + da_o, b + db)
+                if 0 <= min(lv) and max(lv) <= N:
+                    self.check_profile(cfg, ConditionalProfile(a_i, (lv,)), mode)
+                    if lv[0] < N:
+                        self.check_class(cfg, TrappingSetClass(a_i + lv[0], lv[1]), mode)
+
+    def test_count_memo_is_bounded(self):
+        size = rma_tse.acc._ROW_CACHE_SIZE
+        for K in range(1, size + 3):
+            for mode in ("exact", "log"):
+                ensemble_tse(EnsembleConfig(q=1, K=K, L=2), TrappingSetClass(K, 1), mode)
+        info = rma_tse.ensemble._support_moves.cache_info()
+        assert 0 < info.currsize <= info.maxsize == size
