@@ -1,8 +1,7 @@
 """Command-line interface with bit-stable CSV/JSON emission.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 infeasible asymptotic query,
-3 verification mismatch.  ``TSE_THREADS`` sets the sweep worker count (at
-most one per alpha and per CPU); a ``--config`` file of ``key=value`` lines
+3 verification mismatch.  A ``--config`` file of ``key=value`` lines
 supplies argument defaults (command line wins).  Only the ``asym-*``
 commands import ``asymptotic``, and with it scipy.
 """
@@ -15,14 +14,13 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from . import acc, ensemble, oracles
 from .acc import AccTriple, RangeError, ResourceLimitError
-from .combinatorics import DomainError
+from .combinatorics import DomainError, check_finite
 from .ensemble import EnsembleConfig, TrappingSetClass
 
 if TYPE_CHECKING:
@@ -166,18 +164,6 @@ def _parse_split(text: str) -> SplitPolicy:
     raise UsageError(f"split must be 'free' or 'fixed:f1,f2,...', got {text!r}")
 
 
-def _workers(jobs: int) -> int:
-    """Sweep worker count: ``TSE_THREADS``, capped by the jobs and the CPUs."""
-    raw = os.environ.get("TSE_THREADS", "1")
-    try:
-        wanted = int(raw)
-    except ValueError:
-        print(f"warning: ignoring TSE_THREADS={raw!r} (not an integer); using 1 worker",
-              file=sys.stderr)
-        wanted = 1
-    return max(1, min(wanted, jobs, os.cpu_count() or 1))
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="tse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,6 +268,7 @@ _QUICK_LIMITS = oracles.VerifyLimits(
 def _alpha_grid(lo: float, hi: float, steps: int) -> Tuple[float, ...]:
     if steps < 1:
         raise UsageError(f"--alpha-steps must be >= 1, got {steps}")
+    lo, hi = check_finite("--alpha-min", lo), check_finite("--alpha-max", hi)
     if steps == 1:
         return (lo,)
     step = (hi - lo) / (steps - 1)
@@ -304,17 +291,6 @@ def preset_sweeps(name: str) -> List[Tuple[SweepSpec, str]]:
     grid = _alpha_grid(0.01, 0.3, 30)
     return [(SweepSpec(delta=d, alpha_grid=grid, q=q, L=L, split=SplitPolicy.fixed(split)), path)
             for d, q, L, split, path in presets[name]]
-
-
-def _run_sweep(spec: SweepSpec) -> List[AsymptoticPoint]:
-    from . import asymptotic
-
-    workers = _workers(len(spec.alpha_grid))
-    if workers <= 1:
-        return asymptotic.sweep(spec)
-    slices = [dataclasses.replace(spec, alpha_grid=(alpha,)) for alpha in spec.alpha_grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [point for points in pool.map(asymptotic.sweep, slices) for point in points]
 
 
 def _open_out(path: str):
@@ -417,7 +393,7 @@ def _cmd_asym_point(args) -> int:
 
 
 def _cmd_asym_sweep(args) -> int:
-    from .asymptotic import SweepSpec
+    from . import asymptotic
 
     given = ["--" + name.replace("_", "-") for name in _SWEEP_DEFAULTS if name in vars(args)]
     config = getattr(args, "config", {})  # config lines never count as given
@@ -432,14 +408,14 @@ def _cmd_asym_sweep(args) -> int:
         raise UsageError("asym-sweep needs --delta (or --preset)")
     else:
         split = _parse_split(args.split)
-        spec = SweepSpec(
+        spec = asymptotic.SweepSpec(
             delta=args.delta,
             alpha_grid=_alpha_grid(args.alpha_min, args.alpha_max, args.alpha_steps),
             q=args.q, L=args.L, split=split, grid_points=args.grid_points,
         )
         jobs = [(spec, _open_out(args.out))]
     for spec, destination in jobs:
-        emit_sweep_csv(spec, _run_sweep(spec), destination)
+        emit_sweep_csv(spec, asymptotic.sweep(spec), destination)
     return 0
 
 

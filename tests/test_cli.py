@@ -21,8 +21,6 @@ from rma_tse.asymptotic import (
     sweep,
 )
 from rma_tse.cli import (
-    _run_sweep,
-    _workers,
     emit_sweep_csv,
     emit_table_json,
     parse_table_json,
@@ -141,6 +139,19 @@ class TestAsymCommands:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--alpha-steps", "1", "--alpha-max", "nan"], "--alpha-max=nan is not finite"),
+        (["--alpha-min", "0.1", "--alpha-max", "inf", "--alpha-steps", "3"],
+         "--alpha-max=inf is not finite"),
+        (["--alpha-min=-inf", "--alpha-steps", "2"], "--alpha-min=-inf is not finite"),
+    ])
+    def test_alpha_end_non_finite_names_flag_exit_1(self, args, message, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["asym-sweep", "--delta", "0.1", "--grid-points", "5", "--out", str(out)] + args
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preset_excludes_delta_exit_1(self, tmp_path, capsys):
         out_dir = tmp_path / "figs"
         assert run(["asym-sweep", "--preset", "fig4", "--delta", "0.3",
@@ -156,7 +167,7 @@ class TestAsymCommands:
         def unreachable(spec):
             raise AssertionError("ran a sweep")
 
-        monkeypatch.setattr(rma_tse.cli, "_run_sweep", unreachable)
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", unreachable)
         out_dir = tmp_path / "figs"
         assert run(["asym-sweep", "--preset", "fig6", flag, value, "--out-dir", str(out_dir)]) == 1
         assert f"takes no {flag}" in capsys.readouterr().err
@@ -204,7 +215,7 @@ class TestSweepCsv:
 
     def test_grid_metadata_reports_reduced_resolution(self, tmp_path, monkeypatch):
         # Skip the optimizer: only the metadata line is under test here.
-        monkeypatch.setattr(rma_tse.cli, "_run_sweep", lambda spec: [])
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", lambda spec: [])
         out = tmp_path / "l4.csv"
         assert run([
             "asym-sweep", "--q", "3", "--L", "4", "--delta", "0.1", "--alpha-steps", "2",
@@ -549,7 +560,7 @@ class TestConfigFile:
         # Config lines are defaults, not flags: a config delta cannot clash
         # with --preset, and config sweep-shape lines do not count as given.
         ran = []
-        monkeypatch.setattr(rma_tse.cli, "_run_sweep", lambda spec: ran.append(spec) or [])
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", lambda spec: ran.append(spec) or [])
         cfg = tmp_path / "tse.conf"
         cfg.write_text("delta=0.3\nq=7\nalpha_steps=5\n")
         out_dir = tmp_path / "figs"
@@ -560,7 +571,7 @@ class TestConfigFile:
 
     def test_config_sweep_shape_without_preset(self, tmp_path, monkeypatch):
         ran = []
-        monkeypatch.setattr(rma_tse.cli, "_run_sweep", lambda spec: ran.append(spec) or [])
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", lambda spec: ran.append(spec) or [])
         cfg = tmp_path / "tse.conf"
         cfg.write_text("delta=0.3\nq=7\nalpha_steps=5\n")
         out = tmp_path / "s.csv"
@@ -624,64 +635,3 @@ class TestPresets:
         for spec, name in fig7:
             assert spec.split.fractions[0] == 1.0
             assert name.endswith(".csv")
-
-
-class TestWorkerCount:
-    """The sweep worker cap, checked without starting any process."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        created = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
-
-        monkeypatch.setattr(rma_tse.cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(rma_tse.asymptotic, "sweep", lambda spec: list(spec.alpha_grid))
-        return created
-
-    @staticmethod
-    def spec(n_alphas):
-        grid = tuple(0.01 * (i + 1) for i in range(n_alphas))
-        return SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=2)
-
-    def test_capped_by_cpus(self, monkeypatch):
-        monkeypatch.setenv("TSE_THREADS", "100000")
-        monkeypatch.setattr(rma_tse.cli.os, "cpu_count", lambda: 4)
-        assert _workers(30) == 4
-        monkeypatch.setattr(rma_tse.cli.os, "cpu_count", lambda: None)
-        assert _workers(30) == 1
-
-    def test_capped_by_jobs(self, monkeypatch, pools):
-        monkeypatch.setenv("TSE_THREADS", "100000")
-        monkeypatch.setattr(rma_tse.cli.os, "cpu_count", lambda: 64)
-        assert _workers(3) == 3
-        assert _run_sweep(self.spec(3)) == list(self.spec(3).alpha_grid)
-        assert pools == [3]
-
-    def test_single_job_runs_in_process(self, monkeypatch, pools):
-        monkeypatch.setenv("TSE_THREADS", "8")
-        monkeypatch.setattr(rma_tse.cli.os, "cpu_count", lambda: 8)
-        assert _run_sweep(self.spec(1)) == [0.01]
-        assert pools == []
-
-    def test_bad_value_warns_and_uses_one(self, monkeypatch, capsys, pools):
-        monkeypatch.setenv("TSE_THREADS", "lots")
-        assert _run_sweep(self.spec(4)) == list(self.spec(4).alpha_grid)
-        assert pools == []
-        assert "TSE_THREADS='lots'" in capsys.readouterr().err
-
-    def test_nonpositive_means_one(self, monkeypatch):
-        for raw in ("0", "-3"):
-            monkeypatch.setenv("TSE_THREADS", raw)
-            assert _workers(10) == 1

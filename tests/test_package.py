@@ -26,11 +26,17 @@ EXACT_COMMANDS = (
 )
 
 
-def _fresh(code: str):
+# A 2-alpha fixed-split sweep, small enough for a fresh interpreter.
+SWEEP = ["asym-sweep", "--q", "3", "--L", "2", "--delta", "0.1", "--alpha-min", "0.05",
+         "--alpha-max", "0.1", "--alpha-steps", "2", "--split", "fixed:0.5,0.5",
+         "--grid-points", "7"]
+
+
+def _fresh(code: str, **extra_env: str):
     """Run ``code`` in a new interpreter on this ``rma_tse``; return its last stdout line as JSON."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rma_tse.__file__)))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra_env)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -62,6 +68,25 @@ def test_exact_commands_leave_scipy_unloaded():
         "                  'loaded': [m for m in ('scipy', 'rma_tse.asymptotic') if m in sys.modules]}))\n"
     )
     assert result == {"codes": [0] * len(EXACT_COMMANDS), "loaded": []}
+
+
+def test_sweep_runs_in_process(capsys, monkeypatch):
+    # Any TSE_THREADS value is ignored: no worker pool is imported or started.
+    result = _fresh(
+        "import contextlib, io, json, sys\n"
+        "import rma_tse.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = rma_tse.cli.run({SWEEP!r})\n"
+        "print(json.dumps({'code': code, 'out': out.getvalue(), 'loaded': [\n"
+        "    m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]}))\n",
+        TSE_THREADS="4",
+    )
+    monkeypatch.delenv("TSE_THREADS", raising=False)
+    from rma_tse.cli import run
+
+    assert run(SWEEP) == 0
+    assert result == {"code": 0, "out": capsys.readouterr().out, "loaded": []}
 
 
 def test_lazy_names_resolve_without_an_import():
