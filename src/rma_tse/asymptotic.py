@@ -98,10 +98,10 @@ _N_SEEDS = 8   # at most this many grid peaks, the best ones, are refined by SLS
 _SHRINK = 1e-9
 # An inner solve of at most this many rows runs row by row in Python floats
 # (``_inner_row``), a larger one in arrays.  Measured on a 2-vCPU machine on
-# feasible uniform rows, the array path took 210-370 us whatever the count up
-# to 32 rows, the per-row path about 10 us plus 7.5 us a row: 8 rows 70 us
-# against 250, 32 rows 245-265 us against 250-270, 48 rows 370-420 us
-# against 280-340.
+# feasible uniform rows (best of 15 x 50 calls), the array path took
+# 170-200 us whatever the count from 8 to 40 rows, the per-row path about
+# 6.5 us a row: 8 rows 56 us against 170-195, 28 rows 177-186 us against
+# 192-200, 32 rows 204-211 us against 192-198, 48 rows 307 us against 196.
 _ROW_SOLVE_MAX = 32
 
 
@@ -335,9 +335,11 @@ def _inner(ai, ao, b, start=None):
     that it does not stall where P' vanishes (as at the double root
     mu = 1/2 = hi of P when h = ao = 1/2); it is a bisection instead where it
     would leave the bracket or is not a number.  A row stops when a step
-    moves mu by at most 1e-15 of its size, and is not touched again, so its
-    result does not depend on the other rows.  Where the interval is empty
-    the value is NEG_INF and mu, nu are NaN.
+    moves mu by at most 1e-15 of its size.  The arrays keep the input's
+    shape: every iteration runs on all rows, and only the rows of a
+    ``live`` mask (the feasible rows that have not stopped) update their
+    bracket and mu, so a row's result does not depend on the other rows.
+    Where the interval is empty the value is NEG_INF and mu, nu are NaN.
 
     A call of at most ``_ROW_SOLVE_MAX`` rows runs each row through
     ``_inner_row`` instead, the same iteration in Python floats, whose
@@ -357,45 +359,30 @@ def _inner(ai, ao, b, start=None):
     lo, hi, feasible = _mu_bounds(ai, ao, b)
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
     h1, ao1 = 1.0 - h, 1.0 - ao
-    half = np.full_like(h, 0.5)
-    # One column per feasible row (flattened), which leaves when the row
-    # stops: the offsets of the factors of P/4, then m and the bracket.
-    rows = np.flatnonzero(feasible)
-    table = np.array([h, h1, ao, ao1, d, -d, half, half, h * h1 + ao * ao1 + d * d, lo, hi])
-    table = table.reshape(11, -1)[:, rows]
-    if start is None:
-        mu = 0.5 * (table[9] + table[10])
-    else:
-        first = np.broadcast_to(start, lo.shape).ravel()[rows]
-        mu = np.minimum(np.maximum(first, table[9]), table[10])
-    roots = np.full(lo.size, math.nan)
+    m = h * h1 + ao * ao1 + d * d
+    mu = 0.5 * (lo + hi) if start is None else np.minimum(np.maximum(start, lo), hi)
+    mu = np.where(feasible, mu, math.nan)
+    below, above, live = lo, hi, feasible.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
-            if not rows.size:
+            if not live.any():
                 break
-            m, below, above = table[8], table[9], table[10]
-            gaps = table[:8] - mu  # h-mu, 1-h-mu, ao-mu, 1-ao-mu, d-mu, -d-mu, 1/2-mu twice
-            pairs = gaps[0::2] * gaps[1::2]
-            quads = pairs[0::2] * pairs[1::2]
-            cubic = quads[0] - quads[1]  # P/4
+            half = 0.5 - mu
+            cubic = ((h - mu) * (h1 - mu) * ((ao - mu) * (ao1 - mu))
+                     - (d - mu) * (-d - mu) * (half * half))  # P/4
             rise = 1.5 * mu
             tilt = rise - m
-            slope = (gaps[6] + gaps[7]) * tilt  # P'/4
-            np.copyto(below, mu, where=cubic > 0.0)
-            np.copyto(above, mu, where=cubic < 0.0)
+            slope = (half + half) * tilt  # P'/4
+            np.copyto(below, mu, where=live & (cubic > 0.0))
+            np.copyto(above, mu, where=live & (cubic < 0.0))
             newton = cubic / slope
             halley = 1.0 - newton * (0.75 - rise - tilt) / slope  # P''/8 = 3/4 + m - 3mu
             guess = mu - newton / np.minimum(np.maximum(halley, 0.5), 2.0)
             step = 0.5 * (below + above)
             np.copyto(step, guess, where=(below <= guess) & (guess <= above))
             done = np.abs(step - mu) <= 1e-15 * step
-            mu = step
-            if np.count_nonzero(done):
-                roots[rows[done]] = mu[done]
-                keep = ~done
-                rows, mu, table = rows[keep], mu[keep], table[:, keep]
-        roots[rows] = mu
-    mu = roots.reshape(lo.shape)
+            np.copyto(mu, step, where=live)
+            live &= ~done
     nu = _nu(ai, ao, b, mu)
     return mu, nu, np.where(feasible, _objective(ai, ao, b, mu, nu), NEG_INF)
 
@@ -615,26 +602,33 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
     f_acc = (1-ao) H(mu/(1-ao)) + ao H(mu/ao), whose alpha_i-slope is
     ln((1-ao-mu)(ao-mu)/mu^2)/2, and beta is a constant (a zero share of a
     fixed split, or beta = 0, which leaves its coordinates no room), so its
-    slope is set to 0.  The level map chains the level slopes to ``x``, and
-    the entropy terms add (1/q - 1) H'(omega) and -H'(alpha_o) for every
-    level but the last.  Every logarithm is finite strictly inside the
-    feasible polytope.
+    slope is set to 0.  A level with beta = 1 (up to rounding) is pinned
+    too: its mu interval is the one point mu = 1-h = |d| = (1-alpha_i)/2,
+    where 1-h-mu and mu-|d| both vanish, and nu* = 1-ao-mu.  f_acc is the
+    same two terms, but d(mu)/d(alpha_i) = -1/2 negates their
+    alpha_i-slope; beta is at its upper end, and its slope is set to 0.
+    The alpha_o-slope is the general one in both cases.  The level map
+    chains the level slopes to ``x``, and the entropy terms add
+    (1/q - 1) H'(omega) and -H'(alpha_o) for every level but the last.
+    Every logarithm is finite strictly inside the feasible polytope.
     """
     K, k = _level_map(query)
     values, (ai, ao, b, mu, _) = _eval_candidate(query, x[None, :], (K, k))
     ai, ao, b, mu = ai[0], ao[0], b[0], mu[0]
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
     pinned = h <= np.abs(d)  # beta = 0, or below rounding next to alpha_i
+    full = 1.0 - h <= np.abs(d) + ROUNDING_TOL  # beta = 1: mu = 1-h = |d|
     # Logarithms of the factors of the stationarity condition in mu,
     # (mu-|d|)(mu+|d|)(1-2mu)^2 = 4(h-mu)(ao-mu)(1-ao-mu)(1-h-mu).  The
     # optimum can sit within rounding of an end of its interval, where one
     # factor vanishes and loses its digits, so the smallest factor is taken
     # from the others through the condition.  A pinned level has
-    # mu-|d| = h-mu = 0 and uses neither.
+    # mu-|d| = h-mu = 0, a full one mu-|d| = 1-h-mu = 0; neither uses those.
     sides = np.stack([mu - np.abs(d), h - mu, ao - mu, 1.0 - ao - mu, 1.0 - h - mu])
     sides[:2, pinned] = 1.0
+    sides[::4, full] = 1.0
     signs = np.array([1.0, -1.0, -1.0, -1.0, -1.0])[:, None]
-    smallest = (np.argmin(sides, axis=0) == np.arange(5)[:, None]) & ~pinned
+    smallest = (np.argmin(sides, axis=0) == np.arange(5)[:, None]) & ~(pinned | full)
     logs = np.log(np.where(smallest, 1.0, sides))
     balance = np.log((mu + np.abs(d)) * (1.0 - 2.0 * mu) ** 2 / 4.0) + (signs * logs).sum(axis=0)
     # ln of mu-|d|, h-mu, ao-mu, 1-ao-mu and 1-h-mu
@@ -642,9 +636,10 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
     rate = top_h - gap_h
     bias = np.sign(d) * (low - np.log(mu + np.abs(d)))  # ln((mu-d)/(mu+d))
     slopes = np.empty((3, query.L))
-    slopes[0] = np.where(pinned, 0.5 * (top_o + gap_o) - np.log(mu), 0.5 * (rate + bias))
+    ends = 0.5 * (top_o + gap_o) - np.log(mu)  # alpha_i-slope of a pinned level
+    slopes[0] = np.where(pinned, ends, np.where(full, -ends, 0.5 * (rate + bias)))
     slopes[1] = np.log(ao / (1.0 - ao)) + top_o - gap_o
-    slopes[2] = np.where(pinned, 0.0, 0.5 * (rate - bias))
+    slopes[2] = np.where(pinned | full, 0.0, 0.5 * (rate - bias))
     slopes[1, :-1] -= np.log((1.0 - ao[:-1]) / ao[:-1])
     slopes[0, 0] += (1.0 / query.q - 1.0) * np.log((1.0 - ai[0]) / ai[0])
     return float(values[0]), np.einsum("vl,vln->n", slopes, K)

@@ -286,16 +286,10 @@ def ensemble_table(
     def moves(level: int, key: tuple):
         return rows.get(key[0], ())
 
-    state = _forward(config, dom, range(config.K + 1), moves)
-    by_class: Dict[Tuple[int, int], object] = {}  # merged over the last level's a_o
-    if dom is _EXACT:
-        for key, value in state.items():
-            by_class[key[1:3]] = by_class.get(key[1:3], 0) + value
-    else:
-        for key, value in state.items():
-            by_class.setdefault(key[1:3], []).append(value)
-        by_class = {k: dom.total(v) for k, v in by_class.items()}
-    return {k: dom.finish(v, N, config.L) for k, v in sorted(by_class.items())}
+    by_class: Dict[Tuple[int, int], list] = {}  # merged over the last level's a_o
+    for key, value in _forward(config, dom, range(config.K + 1), moves).items():
+        by_class.setdefault(key[1:3], []).append(value)
+    return {k: dom.finish(dom.total(v), N, config.L) for k, v in sorted(by_class.items())}
 
 
 def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:

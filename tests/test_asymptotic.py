@@ -297,8 +297,15 @@ class TestInnerBatch:
         for got, restarted, row_wise in zip(batch, from_middle, one_by_one):
             _assert_same_bits(restarted, got)
             _assert_same_bits(row_wise, got)
+        rows = block.shape[0] // 4 * 4
         for start in (None, hi):  # from hi, P' = 0 at the first step of the double root
             whole = _inner(ai, ao, b, start)
+            # _eval_candidate solves a (rows, L) block of levels in one call.
+            shaped = _inner(*(v[:rows].reshape(-1, 4) for v in (ai, ao, b)),
+                            None if start is None else start[:rows].reshape(-1, 4))
+            for got, grid in zip(whole, shaped):
+                assert grid.shape == (rows // 4, 4)
+                _assert_same_bits(grid.ravel(), got[:rows])
             for size in (1, _ROW_SOLVE_MAX, _ROW_SOLVE_MAX + 1):
                 pieces = [_inner(ai[i:i + size], ao[i:i + size], b[i:i + size],
                                  None if start is None else start[i:i + size])
@@ -519,11 +526,22 @@ class TestGradient:
         (4, None), (4, (1.0, 0.0, 0.0, 0.0)), (4, (0.25, 0.25, 0.25, 0.25)),
     ]
 
+    # A level that takes every check (beta = 1) has its mu pinned at 1-h = |d|.
+    BETA_ONE = [(1, None), (2, (1.0, 0.0))]
+
     @pytest.mark.parametrize("L, fractions", CASES)
     def test_matches_central_differences(self, L, fractions):
+        self._check(L, fractions, [(3, 0.2, 0.1), (2, 0.3, 0.25), (4, 0.15, 0.2)])
+
+    @pytest.mark.parametrize("L, fractions", BETA_ONE)
+    def test_beta_one_matches_central_differences(self, L, fractions):
+        self._check(L, fractions, [(1, 1.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 1.0)])
+
+    @staticmethod
+    def _check(L, fractions, shapes):
         rng = np.random.default_rng(100 + L)
         split = SplitPolicy.free() if fractions is None else SplitPolicy.fixed(fractions)
-        for q, alpha, delta in [(3, 0.2, 0.1), (2, 0.3, 0.25), (4, 0.15, 0.2)]:
+        for q, alpha, delta in shapes:
             query = AsymptoticQuery(q=q, L=L, alpha=alpha, beta=delta * alpha, split=split)
             for x in _interior_points(query, rng, 3):
                 value, grad = _value_and_grad(query, x)
@@ -536,6 +554,15 @@ class TestGradient:
                     ends = _eval_candidate(query, np.stack([x + e, x - e]))[0]
                     central[j] = (ends[0] - ends[1]) / (2.0 * step)
                 np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_beta_one_reaches_dense_search(q):
+    # With L = 1 and beta = 1 the free vector is omega alone; refinement must
+    # reach the best of a dense grid of it.
+    query = AsymptoticQuery(q=q, L=1, alpha=1.0, beta=1.0)
+    omega = np.linspace(0.0, _upper(query)[0], 200_001)[:, None]
+    assert r_point(query).r >= _eval_candidate(query, omega)[0].max() - 1e-10
 
 
 def _figure_queries():

@@ -72,6 +72,18 @@ class TestAsymCommands:
         assert out.startswith("r=")
         assert "level2:" in out
 
+    def test_asym_point_beta_one_level(self, capsys):
+        # The first level takes every check, so its mu interval is one point;
+        # refinement must move off its seed there, with no log(0) on the way.
+        code = run([
+            "asym-point", "--q", "2", "--L", "2", "--alpha", "1", "--beta", "1",
+            "--split", "fixed:1,0",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        assert float(out.splitlines()[0].removeprefix("r=")) >= 0.296266  # random search
+
     def test_asym_point_infeasible_exit_2(self, capsys):
         code = run([
             "asym-point", "--q", "2", "--L", "2", "--alpha", "0.1", "--beta", "3.0",
