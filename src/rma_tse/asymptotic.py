@@ -41,6 +41,7 @@ with a largest box-interior gradient component of 1.6e-5 to 2.8e-4
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -295,25 +296,7 @@ def _mu_bounds(ai, ao, b):
     return lo, np.maximum(hi, lo), lo <= hi + ROUNDING_TOL
 
 
-def _nu(ai, ao, b, mu):
-    """The nu-maximum at fixed mu, elementwise.
-
-    Setting the nu-derivative of the two nu-dependent terms to zero equates
-    their inner ratios: nu* = (1-ao-mu)(h-mu)/(1-2mu) with h = (ai+b)/2.
-    On the feasible mu interval nu* - (h-ao) = (ao-mu)(1-h-mu)/(1-2mu) >= 0
-    and nu* <= min(1-ao-mu, h-mu), so the clamp into the nu bounds only
-    absorbs rounding and the tolerance on the mu interval.
-    """
-    half = 0.5 * (ai + b)
-    denom = 1.0 - 2.0 * mu
-    usable = denom > ROUNDING_TOL
-    star = np.where(usable, (1.0 - ao - mu) * (half - mu) / np.where(usable, denom, 1.0), 0.0)
-    lo = np.maximum(0.0, half - ao)
-    hi = np.maximum(np.minimum(1.0 - ao - mu, half - mu), lo)
-    return np.minimum(np.maximum(star, lo), hi)
-
-
-def _inner(ai, ao, b, start=None):
+def _inner(ai, ao, b):
     """Inner optimum (mu, nu, value) elementwise over arrays of one shape.
 
     With nu at its maximum the objective g(mu) is strictly concave on the
@@ -327,10 +310,10 @@ def _inner(ai, ao, b, start=None):
 
     Each row solves P = 0 by a bracketed Newton iteration (``rtsafe`` of
     Press et al., Numerical Recipes, section 9.4) from the midpoint of its
-    interval, or from ``start`` clamped into it.  P is evaluated from the
-    factors of the condition, which keep its sign where the expanded cubic
-    cancels (mu near 1/2); P' = 4(1-2mu)(3mu/2 - m) and P'' come from the
-    expansion.  The sign of P shrinks the bracket.  A step is Newton's,
+    interval.  P is evaluated from the factors of the condition, which keep
+    its sign where the expanded cubic cancels (mu near 1/2);
+    P' = 4(1-2mu)(3mu/2 - m) and P'' come from the expansion.  The sign of
+    P shrinks the bracket.  A step is Newton's,
     divided by Halley's factor 1 - P P''/(2P'^2) kept within [1/2, 2], so
     that it does not stall where P' vanishes (as at the double root
     mu = 1/2 = hi of P when h = ao = 1/2); it is a bisection instead where it
@@ -350,18 +333,15 @@ def _inner(ai, ao, b, start=None):
     """
     ai, ao, b = (np.asarray(v, dtype=float) for v in (ai, ao, b))
     if ai.size <= _ROW_SOLVE_MAX:
-        starts = ([None] * ai.size if start is None
-                  else np.broadcast_to(np.asarray(start, dtype=float), ai.shape).ravel().tolist())
         rows = [_inner_row(*row) for row in zip(ai.ravel().tolist(), ao.ravel().tolist(),
-                                                 b.ravel().tolist(), starts)]
+                                                 b.ravel().tolist())]
         out = np.array(rows, dtype=float).reshape(ai.shape + (3,))
         return out[..., 0], out[..., 1], out[..., 2]
     lo, hi, feasible = _mu_bounds(ai, ao, b)
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
     h1, ao1 = 1.0 - h, 1.0 - ao
     m = h * h1 + ao * ao1 + d * d
-    mu = 0.5 * (lo + hi) if start is None else np.minimum(np.maximum(start, lo), hi)
-    mu = np.where(feasible, mu, math.nan)
+    mu = np.where(feasible, 0.5 * (lo + hi), math.nan)
     below, above, live = lo, hi, feasible.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
@@ -383,7 +363,16 @@ def _inner(ai, ao, b, start=None):
             done = np.abs(step - mu) <= 1e-15 * step
             np.copyto(mu, step, where=live)
             live &= ~done
-    nu = _nu(ai, ao, b, mu)
+        # The nu-maximum at mu: setting the nu-derivative of the two
+        # nu-dependent terms to zero equates their inner ratios, nu* =
+        # (1-ao-mu)(h-mu)/(1-2mu).  On the feasible mu interval nu* - (h-ao)
+        # = (ao-mu)(1-h-mu)/(1-2mu) >= 0 and nu* <= min(1-ao-mu, h-mu), so
+        # the clamp into the nu bounds only absorbs rounding and the
+        # tolerance on the mu interval.
+        nu_lo = np.maximum(0.0, h - ao)
+        denom = 1.0 - 2.0 * mu
+        star = np.where(denom > ROUNDING_TOL, (ao1 - mu) * (h - mu) / denom, 0.0)
+        nu = np.minimum(np.maximum(star, nu_lo), np.maximum(np.minimum(ao1 - mu, h - mu), nu_lo))
     return mu, nu, np.where(feasible, _objective(ai, ao, b, mu, nu), NEG_INF)
 
 
@@ -425,7 +414,8 @@ def _inner_row(ai, ao, b, start=None):
     out, and ``_maximum``/``_minimum`` keep numpy's signed zeros.  Where P'
     is zero (at the double root mu = hi = 1/2 when h = ao = 1/2) the Newton
     step is +-inf or NaN in numpy, which the bracket turns into a bisection,
-    so that is the step taken here.
+    so that is the step taken here.  ``start``, which only ``f_acc`` passes,
+    replaces the midpoint by itself clamped into the interval.
     """
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
     h1, ao1 = 1.0 - h, 1.0 - ao
@@ -519,6 +509,7 @@ def _grid_resolution(L: int, split: SplitPolicy, grid_points: Optional[int]) -> 
     return g
 
 
+@functools.lru_cache(maxsize=1)
 def _level_map(query: AsymptoticQuery) -> Tuple[np.ndarray, np.ndarray]:
     """The affine map from a free vector to the level fractions.
 
@@ -528,6 +519,9 @@ def _level_map(query: AsymptoticQuery) -> Tuple[np.ndarray, np.ndarray]:
     beta - sum beta_l are pinned by the constraints.  Returns (K, k) such
     that level l has (alpha_i, alpha_o, beta) = K[:, l] @ x + k[:, l]; its
     input fraction is omega for l = 0 and alpha_o_{l-1} after that.
+
+    The map of the last query is kept, as ``r_point`` asks for it at every
+    evaluation; K and k are read-only, because every caller shares them.
     """
     q, L = query.q, query.L
     n = L + (L - 1 if query.split.is_free else 0)
@@ -542,6 +536,7 @@ def _level_map(query: AsymptoticQuery) -> Tuple[np.ndarray, np.ndarray]:
         b[-1, L:], k[2, -1] = -1.0, query.beta
     else:
         k[2] = np.asarray(query.split.fractions) * query.beta
+    K.flags.writeable = k.flags.writeable = False
     return K, k
 
 
@@ -555,29 +550,29 @@ def _upper(query: AsymptoticQuery) -> np.ndarray:
     )
 
 
-def _unpack(query: AsymptoticQuery, x: np.ndarray, level_map=None):
+def _unpack(query: AsymptoticQuery, x: np.ndarray):
     """Free vectors (rows of ``x``) -> ((alpha_i, alpha_o, beta), ok).
 
     Each fraction has one row per free vector and one column per level and
     is clamped into [0, 1]; a row is infeasible (``ok`` false) when a
     fraction leaves [0, 1] by more than the tolerance, which only the pinned
-    shares of the last level can do inside the box.  ``level_map`` is the
-    query's ``_level_map``, made here when not given.
+    shares of the last level can do inside the box.  The fractions come
+    from the query's ``_level_map``.
     """
-    K, k = _level_map(query) if level_map is None else level_map
+    K, k = _level_map(query)
     levels = np.swapaxes(K @ x.T, 1, 2) + k[:, None, :]
     ok = np.all((levels >= -ROUNDING_TOL) & (levels <= 1.0 + ROUNDING_TOL), axis=(0, 2))
     return np.clip(levels, 0.0, 1.0), ok
 
 
-def _eval_candidate(query: AsymptoticQuery, x: np.ndarray, level_map=None):
+def _eval_candidate(query: AsymptoticQuery, x: np.ndarray):
     """Outer objective of each free vector (row of ``x``); NEG_INF if infeasible.
 
     Returns (values, (alpha_i, alpha_o, beta, mu, nu)), the latter with one
-    column per level.  One inner solve covers every level of every row.
-    ``level_map`` is passed on to ``_unpack``.
+    column per level, the levels those of ``_unpack``.  One inner solve
+    covers every level of every row.
     """
-    (ai, ao, b), ok = _unpack(query, x, level_map)
+    (ai, ao, b), ok = _unpack(query, x)
     mu, nu, inner = _inner(ai, ao, b)
     h_omega = _entropy(ai[:, 0])
     values = h_omega / query.q - h_omega + inner.sum(axis=1) - _entropy(ao[:, :-1]).sum(axis=1)
@@ -612,8 +607,7 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
     (1/q - 1) H'(omega) and -H'(alpha_o) for every level but the last.
     Every logarithm is finite strictly inside the feasible polytope.
     """
-    K, k = _level_map(query)
-    values, (ai, ao, b, mu, _) = _eval_candidate(query, x[None, :], (K, k))
+    values, (ai, ao, b, mu, _) = _eval_candidate(query, x[None, :])
     ai, ao, b, mu = ai[0], ao[0], b[0], mu[0]
     h, d = 0.5 * (ai + b), 0.5 * (ai - b)
     pinned = h <= np.abs(d)  # beta = 0, or below rounding next to alpha_i
@@ -642,7 +636,7 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
     slopes[2] = np.where(pinned | full, 0.0, 0.5 * (rate - bias))
     slopes[1, :-1] -= np.log((1.0 - ao[:-1]) / ao[:-1])
     slopes[0, 0] += (1.0 / query.q - 1.0) * np.log((1.0 - ai[0]) / ai[0])
-    return float(values[0]), np.einsum("vl,vln->n", slopes, K)
+    return float(values[0]), np.einsum("vl,vln->n", slopes, _level_map(query)[0])
 
 
 def _coords(axes: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:

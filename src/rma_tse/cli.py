@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -50,8 +51,10 @@ def _fmt(x: float) -> str:
 
 
 def _write(pieces: Iterable[str], destination) -> None:
-    """Write text pieces in order to an open stream, or to the file at a path
-    (no newline translation)."""
+    """Write text pieces in order to an open stream, to stdout for ``"-"``,
+    or to the file at a path (no newline translation)."""
+    if destination == "-":
+        destination = sys.stdout
     if hasattr(destination, "write"):
         for piece in pieces:
             destination.write(piece)
@@ -66,7 +69,8 @@ def emit_sweep_csv(spec: SweepSpec, points: Iterable[AsymptoticPoint], destinati
     Identical inputs produce byte-identical files: one metadata line, the
     header, then one row per point at 9 significant digits: alpha, beta, r,
     ``r_clamped = max(r, 0)``, omega, then the witness of each level.  A
-    point without a witness gets NaN witness cells.
+    point without a witness gets NaN witness cells.  ``destination`` is an
+    open stream, a file path, or ``"-"`` for stdout.
     """
     from . import asymptotic
 
@@ -129,7 +133,8 @@ def emit_table_json(kind: str, params: Dict, entries: Dict, destination) -> None
     ``{"key": [ints], "value": "string"}`` with one line per list element.
     Exact values are decimal integer or "num/den" strings, never floats.
     The entries are written ``_ENTRY_CHUNK`` at a time, so no string of the
-    whole table is built.
+    whole table is built.  ``destination`` is an open stream, a file path,
+    or ``"-"`` for stdout.
     """
     _write(_table_pieces(kind, params, entries), destination)
 
@@ -293,10 +298,6 @@ def preset_sweeps(name: str) -> List[Tuple[SweepSpec, str]]:
             for d, q, L, split, path in presets[name]]
 
 
-def _open_out(path: str):
-    return sys.stdout if path == "-" else path
-
-
 def _apply_config(parser: _Parser, argv: List[str]) -> List[str]:
     """Drop ``--config FILE`` from argv; each ``key=value`` line defaults the flag ``--key``.
 
@@ -351,9 +352,7 @@ def _cmd_acc(args) -> int:
 
 def _cmd_acc_table(args) -> int:
     table = acc.acc_iotse_table(args.N, args.mode)
-    emit_table_json(
-        "iotse", {"N": args.N, "mode": args.mode}, table.entries, _open_out(args.out)
-    )
+    emit_table_json("iotse", {"N": args.N, "mode": args.mode}, table.entries, args.out)
     return 0
 
 
@@ -368,7 +367,7 @@ def _cmd_ensemble_table(args) -> int:
     config = EnsembleConfig(q=args.q, K=args.K, L=args.L)
     table = ensemble.ensemble_table(config, args.mode)
     params = {"q": args.q, "K": args.K, "L": args.L, "N": config.N, "mode": args.mode}
-    emit_table_json("ensemble_tse", params, table, _open_out(args.out))
+    emit_table_json("ensemble_tse", params, table, args.out)
     return 0
 
 
@@ -413,7 +412,7 @@ def _cmd_asym_sweep(args) -> int:
             alpha_grid=_alpha_grid(args.alpha_min, args.alpha_max, args.alpha_steps),
             q=args.q, L=args.L, split=split, grid_points=args.grid_points,
         )
-        jobs = [(spec, _open_out(args.out))]
+        jobs = [(spec, args.out)]
     for spec, destination in jobs:
         emit_sweep_csv(spec, asymptotic.sweep(spec), destination)
     return 0
@@ -424,16 +423,14 @@ def _cmd_oracle(args) -> int:
         if args.N is None:
             raise UsageError(f"oracle --which {args.which} needs --N")
         table = oracles.trellis_dp(args.N) if args.which == "trellis" else oracles.exhaustive_acc(args.N)
-        emit_table_json(
-            "iotse", {"N": args.N, "method": args.which}, table.entries, _open_out(args.out)
-        )
+        emit_table_json("iotse", {"N": args.N, "method": args.which}, table.entries, args.out)
         return 0
     if args.q is None or args.K is None or args.L is None:
         raise UsageError("oracle --which graph needs --q --K --L")
     config = EnsembleConfig(q=args.q, K=args.K, L=args.L)
     table = oracles.graph_ensemble_average(config)
     params = {"q": args.q, "K": args.K, "L": args.L, "N": config.N, "method": "graph"}
-    emit_table_json("ensemble_tse", params, table, _open_out(args.out))
+    emit_table_json("ensemble_tse", params, table, args.out)
     return 0
 
 
@@ -479,6 +476,10 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # A reader that closes stdout early (``tse acc-table | head``) ends tse
+    # by SIGPIPE, as it ends any Unix filter, not with an error and exit 1.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -24,6 +24,7 @@ from rma_tse.asymptotic import (
     _grid_resolution,
     _grid_stage,
     _inner,
+    _level_map,
     _mu_bounds,
     _objective,
     _peaks,
@@ -289,29 +290,23 @@ class TestInnerBatch:
         infeasible = np.column_stack([u, u, 0.5 + 4.0 * u])  # |ai - b| / 2 > ao
         block = rng.permutation(np.concatenate([uniform, small, infeasible, self.DEGENERATE]))
         ai, ao, b = block.T
-        lo, hi, feasible = _mu_bounds(ai, ao, b)
+        feasible = _mu_bounds(ai, ao, b)[2]
         assert 0 < np.count_nonzero(feasible) < block.shape[0]
         batch = _inner(ai, ao, b)
-        from_middle = _inner(ai, ao, b, 0.5 * (lo + hi))
         one_by_one = np.array([_inner(*row) for row in block]).T
-        for got, restarted, row_wise in zip(batch, from_middle, one_by_one):
-            _assert_same_bits(restarted, got)
+        for got, row_wise in zip(batch, one_by_one):
             _assert_same_bits(row_wise, got)
         rows = block.shape[0] // 4 * 4
-        for start in (None, hi):  # from hi, P' = 0 at the first step of the double root
-            whole = _inner(ai, ao, b, start)
-            # _eval_candidate solves a (rows, L) block of levels in one call.
-            shaped = _inner(*(v[:rows].reshape(-1, 4) for v in (ai, ao, b)),
-                            None if start is None else start[:rows].reshape(-1, 4))
-            for got, grid in zip(whole, shaped):
-                assert grid.shape == (rows // 4, 4)
-                _assert_same_bits(grid.ravel(), got[:rows])
-            for size in (1, _ROW_SOLVE_MAX, _ROW_SOLVE_MAX + 1):
-                pieces = [_inner(ai[i:i + size], ao[i:i + size], b[i:i + size],
-                                 None if start is None else start[i:i + size])
-                          for i in range(0, block.shape[0], size)]
-                for got, pieced in zip(whole, zip(*pieces)):
-                    _assert_same_bits(np.concatenate(pieced), got)
+        # _eval_candidate solves a (rows, L) block of levels in one call.
+        shaped = _inner(*(v[:rows].reshape(-1, 4) for v in (ai, ao, b)))
+        for got, grid in zip(batch, shaped):
+            assert grid.shape == (rows // 4, 4)
+            _assert_same_bits(grid.ravel(), got[:rows])
+        for size in (1, _ROW_SOLVE_MAX, _ROW_SOLVE_MAX + 1):
+            pieces = [_inner(ai[i:i + size], ao[i:i + size], b[i:i + size])
+                      for i in range(0, block.shape[0], size)]
+            for got, pieced in zip(batch, zip(*pieces)):
+                _assert_same_bits(np.concatenate(pieced), got)
 
 
 class TestConcavity:
@@ -516,6 +511,24 @@ def _interior_points(query, rng, count):
         keep &= b[:, -1] >= 0.05 * query.beta
     assert keep.sum() >= count
     return x[keep][:count]
+
+
+class TestLevelMap:
+    QUERY = AsymptoticQuery(q=3, L=2, alpha=0.1, beta=0.01)
+
+    def test_built_once_per_query(self):
+        # Every evaluation of an r_point asks for its query's map.
+        _level_map.cache_clear()
+        r_point(self.QUERY)
+        assert _level_map.cache_info().misses == 1
+
+    def test_read_only(self):
+        # The one map of a query is shared by every caller.
+        K, k = _level_map(self.QUERY)
+        with pytest.raises(ValueError):
+            K[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            k[0, 0] = 1.0
 
 
 class TestGradient:

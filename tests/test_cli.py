@@ -467,6 +467,15 @@ class TestVerifyCommand:
         assert "OK closed_form_vs_trellis" in capsys.readouterr().out
         assert json.loads(out.read_text())["mismatch_count"] == 0
 
+    def test_out_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        # "-" is stdout, as for the --out of every other command.
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--quick", "--out", "-"]) == 0
+        assert not (tmp_path / "-").exists()
+        lines, brace, report = capsys.readouterr().out.partition("{")
+        assert lines and all(line.startswith("OK ") for line in lines.splitlines())
+        assert json.loads(brace + report)["mismatch_count"] == 0
+
     def test_mismatch_exit_3(self, capsys, monkeypatch):
         real = rma_tse.acc.acc_iotse_table
 

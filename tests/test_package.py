@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
 
@@ -32,15 +33,31 @@ SWEEP = ["asym-sweep", "--q", "3", "--L", "2", "--delta", "0.1", "--alpha-min", 
          "--grid-points", "7"]
 
 
-def _fresh(code: str, **extra_env: str):
-    """Run ``code`` in a new interpreter on this ``rma_tse``; return its last stdout line as JSON."""
+def _env(**extra_env: str):
+    """The environment of a new interpreter that imports this ``rma_tse``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rma_tse.__file__)))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra_env)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra_env)
+
+
+def _fresh(code: str, **extra_env: str):
+    """Run ``code`` in a new interpreter on this ``rma_tse``; return its last stdout line as JSON."""
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(**extra_env),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe():
+    # As in `tse acc-table --N 30 | head -1`: the reader leaves after the
+    # first of about 1 MB of lines, and tse ends like any filter, silently.
+    proc = subprocess.Popen([sys.executable, "-m", "rma_tse.cli", "acc-table", "--N", "30"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
 def test_every_all_name_resolves():
