@@ -218,7 +218,12 @@ class AsymptoticPoint:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A constant-ratio slice: beta = delta * alpha along an alpha grid."""
+    """A constant-ratio slice: beta = delta * alpha along an alpha grid.
+
+    After construction ``grid_points`` holds the resolved points per axis of
+    every ``r_point`` coarse grid (``_grid_resolution``), also where it was
+    given as ``None``.
+    """
 
     delta: float
     alpha_grid: Tuple[float, ...]
@@ -236,7 +241,7 @@ class SweepSpec:
         if any(y <= x for x, y in zip(grid, grid[1:])):
             raise DomainError("alpha grid must be strictly increasing")
         object.__setattr__(self, "alpha_grid", grid)
-        _grid_resolution(self.L, self.split, self.grid_points)
+        object.__setattr__(self, "grid_points", _grid_resolution(self.L, self.split, self.grid_points))
 
 
 def f_rep(omega: float, q: int) -> float:

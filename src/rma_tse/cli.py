@@ -20,8 +20,8 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from . import acc, ensemble, oracles
-from .acc import AccTriple, RangeError, ResourceLimitError
-from .combinatorics import DomainError, check_finite
+from .acc import AccTriple, ResourceLimitError
+from .combinatorics import check_finite
 from .ensemble import EnsembleConfig, TrappingSetClass
 
 if TYPE_CHECKING:
@@ -68,19 +68,18 @@ def emit_sweep_csv(spec: SweepSpec, points: Iterable[AsymptoticPoint], destinati
 
     Identical inputs produce byte-identical files: one metadata line, the
     header, then one row per point at 9 significant digits: alpha, beta, r,
-    ``r_clamped = max(r, 0)``, omega, then the witness of each level.  A
-    point without a witness gets NaN witness cells.  ``destination`` is an
-    open stream, a file path, or ``"-"`` for stdout.
+    ``r_clamped = max(r, 0)``, omega, then the witness of each level.  The
+    metadata's ``grid=`` is ``spec.grid_points``, the resolved points per
+    axis.  A point without a witness gets NaN witness cells.
+    ``destination`` is an open stream, a file path, or ``"-"`` for stdout.
     """
-    from . import asymptotic
-
     L = spec.L
-    grid = asymptotic._grid_resolution(L, spec.split, spec.grid_points)
     header = ["alpha", "beta", "r", "r_clamped", "omega"]
     for level in range(1, L + 1):
         header += [f"alpha_o_{level}", f"beta_{level}", f"mu_{level}", f"nu_{level}"]
     lines = [
-        f"# q={spec.q} L={L} delta={_fmt(spec.delta)} split={spec.split.describe()} grid={grid}",
+        f"# q={spec.q} L={L} delta={_fmt(spec.delta)} split={spec.split.describe()}"
+        f" grid={spec.grid_points}",
         ",".join(header),
     ]
     nan = float("nan")
@@ -366,8 +365,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_ensemble_table(args) -> int:
     config = EnsembleConfig(q=args.q, K=args.K, L=args.L)
     table = ensemble.ensemble_table(config, args.mode)
-    params = {"q": args.q, "K": args.K, "L": args.L, "N": config.N, "mode": args.mode}
-    emit_table_json("ensemble_tse", params, table, args.out)
+    emit_table_json("ensemble_tse", {**dataclasses.asdict(config), "mode": args.mode}, table, args.out)
     return 0
 
 
@@ -429,8 +427,7 @@ def _cmd_oracle(args) -> int:
         raise UsageError("oracle --which graph needs --q --K --L")
     config = EnsembleConfig(q=args.q, K=args.K, L=args.L)
     table = oracles.graph_ensemble_average(config)
-    params = {"q": args.q, "K": args.K, "L": args.L, "N": config.N, "method": "graph"}
-    emit_table_json("ensemble_tse", params, table, args.out)
+    emit_table_json("ensemble_tse", {**dataclasses.asdict(config), "method": "graph"}, table, args.out)
     return 0
 
 
@@ -444,7 +441,7 @@ def _cmd_verify(args) -> int:
         else:
             m = comparison.mismatch
             print(f"MISMATCH {comparison.name} at {m.key}: {m.lhs} != {m.rhs}")
-    if args.out:
+    if args.out is not None:
         _write([report.to_json() + "\n"], args.out)
     return 3 if report.mismatch_count else 0
 
@@ -462,12 +459,15 @@ _DISPATCH = {
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse, dispatch, and map every failure onto the exit-code contract."""
+    """Parse, dispatch, and map every failure onto the exit-code contract.
+
+    ``RangeError`` and ``DomainError`` are ``ValueError``s, so they exit 1.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config(parser, list(argv)))
         return _DISPATCH[args.command](args)
-    except (UsageError, RangeError, DomainError, ResourceLimitError, ValueError, OSError) as exc:
+    except (UsageError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -372,24 +372,13 @@ class OracleReport:
         return sum(0 if c.ok else 1 for c in self.comparisons)
 
     def to_json(self) -> str:
-        payload = {
-            "mismatch_count": self.mismatch_count,
-            "comparisons": [
-                {
-                    "name": c.name,
-                    "checked": c.checked,
-                    "ok": c.ok,
-                    "mismatch": None
-                    if c.mismatch is None
-                    else {
-                        "key": list(c.mismatch.key),
-                        "lhs": c.mismatch.lhs,
-                        "rhs": c.mismatch.rhs,
-                    },
-                }
-                for c in self.comparisons
-            ],
-        }
+        """The report as indented JSON with sorted keys.
+
+        It holds ``mismatch_count`` and, per comparison, the dataclass fields
+        (a mismatch's too, or null) plus ``ok``.  A tuple key is a JSON list.
+        """
+        comparisons = [{**asdict(c), "ok": c.ok} for c in self.comparisons]
+        payload = {"mismatch_count": self.mismatch_count, "comparisons": comparisons}
         return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -801,6 +801,25 @@ class TestSweep:
         assert points[0].beta == pytest.approx(0.025)
         assert points[1].beta == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("L, split, grid_points, resolved", [
+        (2, SplitPolicy.fixed((1.0, 0.0)), None, 33),
+        (4, SplitPolicy.fixed((1.0, 0.0, 0.0, 0.0)), None, 27),
+        (3, SplitPolicy.free(), None, 14),
+        (2, SplitPolicy.free(), 15, 15),
+    ])
+    def test_spec_resolves_grid(self, L, split, grid_points, resolved):
+        spec = SweepSpec(delta=0.1, alpha_grid=(0.1,), q=3, L=L, split=split,
+                         grid_points=grid_points)
+        assert type(spec.grid_points) is int and spec.grid_points == resolved
+
+    def test_resolved_grid_is_the_default_grid(self):
+        split = SplitPolicy.fixed((0.5, 0.5))
+        spec = SweepSpec(delta=0.1, alpha_grid=(0.05, 0.1), q=3, L=2, split=split)
+        assert sweep(spec) == [
+            r_point(AsymptoticQuery(q=3, L=2, alpha=alpha, beta=0.1 * alpha, split=split))
+            for alpha in spec.alpha_grid
+        ]
+
     def test_zero_delta_zero_stretch(self):
         spec = SweepSpec(
             delta=0.0, alpha_grid=(0.005, 0.01), q=3, L=2, grid_points=17

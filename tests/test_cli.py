@@ -235,6 +235,20 @@ class TestSweepCsv:
         ]) == 0
         assert out.read_text().splitlines()[0].endswith(" grid=27")
 
+    @pytest.mark.parametrize("L, split, grid_points, grid", [
+        (2, "fixed:1,0", None, 33),
+        (4, "fixed:1,0,0,0", None, 27),
+        (3, "free", None, 14),
+        (2, "free", 15, 15),
+    ])
+    def test_grid_metadata_is_the_spec_grid(self, L, split, grid_points, grid):
+        spec = SweepSpec(delta=0.1, alpha_grid=(0.1,), q=3, L=L,
+                         split=rma_tse.cli._parse_split(split), grid_points=grid_points)
+        out = io.StringIO()
+        emit_sweep_csv(spec, [], out)
+        assert spec.grid_points == grid
+        assert out.getvalue().splitlines()[0].endswith(f" split={split} grid={grid}")
+
     def test_r_clamped_column(self, tmp_path):
         witness = OptimizerWitness(0.0, (LevelWitness(0.0, 0.0, 0.0, 0.0),) * 2)
         points = [AsymptoticPoint(0.01, 0.0, -0.5, witness)]
@@ -475,6 +489,13 @@ class TestVerifyCommand:
         lines, brace, report = capsys.readouterr().out.partition("{")
         assert lines and all(line.startswith("OK ") for line in lines.splitlines())
         assert json.loads(brace + report)["mismatch_count"] == 0
+
+    def test_out_empty_exit_1(self, capsys):
+        # An empty path is an I/O error, as for the --out of every other command.
+        assert run(["verify", "--quick", "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert "OK closed_form_vs_trellis" in captured.out
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
 
     def test_mismatch_exit_3(self, capsys, monkeypatch):
         real = rma_tse.acc.acc_iotse_table

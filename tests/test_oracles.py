@@ -15,9 +15,11 @@ import rma_tse.oracles
 from rma_tse.acc import IotseTable, RangeError, ResourceLimitError
 from rma_tse.ensemble import EnsembleConfig
 from rma_tse.oracles import (
+    ComparisonResult,
     FactorGraph,
     MembershipAssignment,
     Mismatch,
+    OracleReport,
     VerifyLimits,
     _first_mismatch,
     _harvest,
@@ -235,6 +237,23 @@ class TestVerifyAll:
         payload = json.loads(report.to_json())
         assert payload["mismatch_count"] == 0
         assert all(c["ok"] for c in payload["comparisons"])
+
+    def test_mismatch_report_bytes_pinned(self):
+        # One clean comparison and the three key shapes verify_all reports: a
+        # flat key, codeword_support_b0's (perms, bits) and the mass check's ("total",).
+        report = OracleReport([
+            ComparisonResult("closed_form_vs_trellis", 5),
+            ComparisonResult("iowe_b0_reduction", 3, Mismatch((4, 1, 2), "7", "6")),
+            ComparisonResult("codeword_support_b0", 3, Mismatch((((1, 0), (0, 1)), (0,)), "1", "0")),
+            ComparisonResult("graph_universe_mass_q2_K2_L1", 9, Mismatch(("total",), "17", "16")),
+        ])
+        text = report.to_json()
+        assert [c["mismatch"] and c["mismatch"]["key"] for c in json.loads(text)["comparisons"]] == [
+            None, [4, 1, 2], [[[1, 0], [0, 1]], [0]], ["total"],
+        ]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "67b4cb7299e5b9297d4644063ec7da04ccfd9a2c2c77df472007397b86e06829"
+        )
 
     def test_injected_fault_is_pinpointed(self, monkeypatch):
         real = rma_tse.acc.acc_iotse_table
