@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -171,64 +172,58 @@ class FactorGraph:
     Universe node indices: information nodes 0..K-1, then per level l the
     code nodes x^l_1..x^l_{N-1} (the terminated final node x^l_N exists in
     the graph but never belongs to a membership set, so it carries no index).
+    ``config`` sizes that universe (``config.a_max`` nodes), and
     ``check_masks`` holds, for check (l, k), the bitmask of its universe
     neighbours; parity against a membership mask decides satisfaction.
     """
 
     config: EnsembleConfig
-    perms: Tuple[Permutation, ...]
     check_masks: Tuple[int, ...]
-    universe_size: int
 
     def induced_class(self, assignment: MembershipAssignment) -> Tuple[int, int]:
         mask = assignment.mask
-        if mask >> self.universe_size:
+        if mask >> self.config.a_max:
             raise RangeError("membership mask addresses nodes outside the universe")
         a = mask.bit_count()
         b = sum((mask & cm).bit_count() & 1 for cm in self.check_masks)
         return a, b
 
 
-def _code_node_bit(config: EnsembleConfig, level: int, pos: int) -> Optional[int]:
-    """Universe bit of x^level_{pos+1} (0-based pos), None for the final node."""
-    if pos == config.N - 1:
-        return None
-    return config.K + (level - 1) * (config.N - 1) + pos
+def _node_mask(config: EnsembleConfig, level: int, pos: int) -> int:
+    """Universe bitmask of x^level_{pos+1} (0-based pos); 0 for the terminated
+    final node and for pos = -1, the accumulator's start x_0, which is not a node."""
+    if pos in (-1, config.N - 1):
+        return 0
+    return 1 << (config.K + (level - 1) * (config.N - 1) + pos)
 
 
 def build_factor_graph(config: EnsembleConfig, perms: Sequence[Permutation]) -> FactorGraph:
-    """Assemble the check adjacency for one tuple of interleavers."""
+    """Assemble the check adjacency for one tuple of interleavers.
+
+    Check (level, k+1) joins its feed (the information node behind
+    repetition position perm[k] at level 1, else code node perm[k] of the
+    level below) with its accumulator's code nodes k-1 and k.
+    """
     N, q, L = config.N, config.q, config.L
     if len(perms) != L:
         raise RangeError(f"need {L} interleavers, got {len(perms)}")
     for p in perms:
         _validate_permutation(p, N)
     masks: List[int] = []
-    for level in range(1, L + 1):
-        perm = perms[level - 1]
-        for k in range(N):  # check (level, k+1)
-            m = 0
-            src = perm[k]
-            if level == 1:
-                m |= 1 << (src // q)  # repetition position -> information node
-            else:
-                bit = _code_node_bit(config, level - 1, src)
-                if bit is not None:
-                    m |= 1 << bit
-            if k >= 1:
-                bit = _code_node_bit(config, level, k - 1)
-                if bit is not None:
-                    m |= 1 << bit
-            bit = _code_node_bit(config, level, k)
-            if bit is not None:
-                m |= 1 << bit
-            masks.append(m)
-    return FactorGraph(
-        config=config,
-        perms=tuple(tuple(p) for p in perms),
-        check_masks=tuple(masks),
-        universe_size=config.a_max,
-    )
+    for level, perm in enumerate(perms, 1):
+        for k, src in enumerate(perm):
+            feed = 1 << (src // q) if level == 1 else _node_mask(config, level - 1, src)
+            masks.append(feed | _node_mask(config, level, k - 1) | _node_mask(config, level, k))
+    return FactorGraph(config=config, check_masks=tuple(masks))
+
+
+def _check_graph_size(config: EnsembleConfig) -> None:
+    """Refuse a configuration the graph oracle does not support or cannot finish."""
+    if config.K > 3 or config.q > 2 or config.L > 2:
+        raise RangeError("graph oracle supports K <= 3, q <= 2, L <= 2")
+    ops = math.factorial(config.N) ** config.L << config.a_max
+    if ops > GRAPH_OP_BUDGET:
+        raise ResourceLimitError(f"(N!)^L * 2^universe = {ops} exceeds budget")
 
 
 def graph_ensemble_average(config: EnsembleConfig) -> Dict[Tuple[int, int], Fraction]:
@@ -237,14 +232,9 @@ def graph_ensemble_average(config: EnsembleConfig) -> Dict[Tuple[int, int], Frac
     Builds the graph for all (N!)^L tuples, enumerates all membership
     assignments of each, and divides the integer tallies by (N!)^L.
     """
-    if config.K > 3 or config.q > 2 or config.L > 2:
-        raise RangeError("graph oracle supports K <= 3, q <= 2, L <= 2")
+    _check_graph_size(config)
     N, L, universe = config.N, config.L, config.a_max
     n_tuples = math.factorial(N) ** L
-    if n_tuples * (1 << universe) > GRAPH_OP_BUDGET:
-        raise ResourceLimitError(
-            f"(N!)^L * 2^universe = {n_tuples * (1 << universe)} exceeds budget"
-        )
     masks = np.arange(1 << universe, dtype=np.int64)
     pc = np.array([v.bit_count() for v in range(1 << universe)], dtype=np.int64)
     parity = pc & 1
@@ -264,8 +254,9 @@ def encode(
 ) -> Tuple[List[int], List[List[int]]]:
     """Run the repeat-accumulate chain on one input word.
 
-    Returns the repeated block and the per-level accumulator outputs
-    x_k = x_{k-1} + v_k (x_0 = 0) with v the interleaved previous layer.
+    Returns the repeated block and the per-level accumulator outputs: each
+    level is the running XOR x_k = x_{k-1} + v_k (x_0 = 0) of v, the
+    previous layer read through the level's interleaver (v[k] = prev[perm[k]]).
     The repetition factor is inferred from the interleaver length.
     """
     K = len(u)
@@ -283,14 +274,8 @@ def encode(
     levels: List[List[int]] = []
     prev = x_rep
     for perm in interleavers:
-        v = [prev[perm[k]] for k in range(N)]
-        x: List[int] = []
-        s = 0
-        for bit in v:
-            s ^= bit
-            x.append(s)
-        levels.append(x)
-        prev = x
+        prev = list(itertools.accumulate((prev[p] for p in perm), operator.xor))
+        levels.append(prev)
     return x_rep, levels
 
 
@@ -306,7 +291,10 @@ class VerifyLimits:
     limit past the ceiling of the tables it drives (the trellis walk's and
     the exhaustive oracle's caps, the accumulator table ceiling for row
     sums, the exact ensemble table ceiling for the closure block length
-    q * K), so a bad limit is rejected before any table is built.
+    q * K).  A graph or codeword configuration the graph oracle refuses
+    raises as the oracle does: ``RangeError`` past its shape limits,
+    ``ResourceLimitError`` past ``GRAPH_OP_BUDGET``.  So a bad limit is
+    rejected before any table is built.
     """
 
     trellis_n_max: int = 32
@@ -343,6 +331,10 @@ class VerifyLimits:
                 f"closure tables capped at N={_ensemble.EXACT_TABLE_N_MAX},"
                 f" got N={closure_n} (closure_q_max * closure_k_max)"
             )
+        # The codeword check walks every interleaver tuple as the graph oracle
+        # does, with 2^K words in place of 2^universe masks, so its limits hold too.
+        for config in (*self.graph_configs, self.codeword_config):
+            _check_graph_size(EnsembleConfig(*config))
 
 
 @dataclass(frozen=True)
@@ -415,32 +407,27 @@ def _row_sums(table: IotseTable) -> Counter:
 def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
     """Run every cross-oracle equality and identity check within limits.
 
-    Mismatches are reported, not raised: each comparison walks its keys in a
-    fixed order, stops at the first disagreement, and its ``checked`` counts
-    the keys compared up to and including that mismatch (all keys if none).
+    Each trellis comparison streams a walk of its own and harvests the
+    table at n when it reaches n, so no table is built before it is
+    compared or kept after.  Mismatches are reported, not raised: each
+    comparison walks its keys in a fixed order, stops at the first
+    disagreement, and its ``checked`` counts the keys compared up to and
+    including that mismatch (all keys if none).
     """
-    n_ex = limits.exhaustive_n_max
-    # One trellis walk serves both trellis comparisons, harvested at each n
-    # only when a stream reaches it; the exhaustive stream's tables are kept.
-    walk = _trellis_states(max(limits.trellis_n_max, n_ex))
-    kept: Dict[int, Dict] = {}
     row_sums: Dict[int, Counter] = {}  # kept for the row-sum check
 
-    def trellis(n: int) -> Dict:
-        # Advance the walk to n, harvesting on the way every table n <= n_ex.
-        while n not in kept:
-            k, counts = next(walk)
-            if k == n or k <= n_ex:
-                kept[k] = _harvest(k, counts).entries
-        return kept[n] if n <= n_ex else kept.pop(n)
-
     def closed_form():
-        # Closed form vs trellis DP: one stream per n, its tables built only when reached.
-        for n in range(1, limits.trellis_n_max + 1):
+        # Closed form vs trellis DP: both tables at n built only when the walk reaches n.
+        for n, counts in _trellis_states(limits.trellis_n_max):
             closed = _acc.acc_iotse_table(n)
             if n <= limits.rowsum_n_max:
                 row_sums[n] = _row_sums(closed)
-            yield _table_triples(trellis(n), closed.entries, (n,))
+            yield _table_triples(_harvest(n, counts).entries, closed.entries, (n,))
+
+    def exhaustive():
+        # Trellis DP vs exhaustive subset enumeration.
+        for n, counts in _trellis_states(limits.exhaustive_n_max):
+            yield _table_triples(_harvest(n, counts).entries, exhaustive_acc(n).entries, (n,))
 
     def rowsum():
         # Summing one class table over b must count all subset pairs.
@@ -473,10 +460,6 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
                 mask = sum(bit << j for j, bit in enumerate(word))
                 yield (perms, bits), graph.induced_class(MembershipAssignment(mask))[1], 0
 
-    exhaustive = (  # trellis DP vs exhaustive subset enumeration
-        _table_triples(trellis(n), exhaustive_acc(n).entries, (n,))
-        for n in range(1, n_ex + 1)
-    )
     iowe = (  # b = 0 slice vs the classic weight enumerator
         ((n, w, d), _acc.acc_iotse(_acc.AccTriple(n, w, d, 0)), _acc.acc_iowe(n, w, d))
         for n in range(1, limits.iowe_n_max + 1)
@@ -484,7 +467,7 @@ def verify_all(limits: VerifyLimits = VerifyLimits()) -> OracleReport:
     )
     comparisons = [
         _first_mismatch("closed_form_vs_trellis", itertools.chain.from_iterable(closed_form())),
-        _first_mismatch("trellis_vs_exhaustive", itertools.chain.from_iterable(exhaustive)),
+        _first_mismatch("trellis_vs_exhaustive", itertools.chain.from_iterable(exhaustive())),
         _first_mismatch("iowe_b0_reduction", iowe),
         _first_mismatch("rowsum_identity", rowsum()),
     ]

@@ -7,6 +7,10 @@ per-mask loop over every membership assignment of every interleaver tuple.
 The tests hold the array passes equal to them, key for key and value for
 value (Python ``int`` counts).
 
+``factor_graph_masks`` is the check-mask loop ``build_factor_graph`` had
+before its one node rule: a code node's universe bit, or None for the
+terminated final node, tested at each of a check's three neighbours.
+
 ``box_*`` are the ensemble queries with their full move sets: every
 (a_o, b_l) of the class box is counted and the zero counts are dropped.
 ``rma_tse.ensemble`` visits only the support of the component count; the
@@ -21,7 +25,6 @@ import numpy as np
 
 from rma_tse.acc import _count, _domain
 from rma_tse.ensemble import ConditionalProfile, _by_class, _by_path, _forward
-from rma_tse.oracles import build_factor_graph
 
 
 def trellis_dp_entries(n_max):
@@ -58,13 +61,46 @@ def exhaustive_entries(n):
     return entries
 
 
+def _code_node_bit(config, level, pos):
+    """Universe bit of x^level_{pos+1} (0-based pos), None for the final node."""
+    if pos == config.N - 1:
+        return None
+    return config.K + (level - 1) * (config.N - 1) + pos
+
+
+def factor_graph_masks(config, perms):
+    """The bitmask of each check's universe neighbours, check (1, 1) first."""
+    N, q, L = config.N, config.q, config.L
+    masks = []
+    for level in range(1, L + 1):
+        perm = perms[level - 1]
+        for k in range(N):  # check (level, k+1)
+            m = 0
+            src = perm[k]
+            if level == 1:
+                m |= 1 << (src // q)  # repetition position -> information node
+            else:
+                bit = _code_node_bit(config, level - 1, src)
+                if bit is not None:
+                    m |= 1 << bit
+            if k >= 1:
+                bit = _code_node_bit(config, level, k - 1)
+                if bit is not None:
+                    m |= 1 << bit
+            bit = _code_node_bit(config, level, k)
+            if bit is not None:
+                m |= 1 << bit
+            masks.append(m)
+    return tuple(masks)
+
+
 def graph_average(config):
     """Exact (a, b) average over every interleaver tuple, one mask at a time."""
     universe = config.K + config.L * (config.N - 1)
     n_tuples = math.factorial(config.N) ** config.L
     tally = {}
     for perms in itertools.product(itertools.permutations(range(config.N)), repeat=config.L):
-        cms = build_factor_graph(config, perms).check_masks
+        cms = factor_graph_masks(config, perms)
         for mask in range(1 << universe):
             key = (mask.bit_count(), sum((mask & cm).bit_count() & 1 for cm in cms))
             tally[key] = tally.get(key, 0) + 1

@@ -217,14 +217,6 @@ class TestSweepCsv:
         assert len(lines) == 2
         assert lines[0].startswith("#")
 
-    def test_workers_do_not_change_bytes(self, tmp_path, monkeypatch):
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        assert run(self.ARGS + ["--out", str(seq)]) == 0
-        monkeypatch.setenv("TSE_THREADS", "2")
-        assert run(self.ARGS + ["--out", str(par)]) == 0
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_grid_metadata_reports_reduced_resolution(self, tmp_path, monkeypatch):
         # Skip the optimizer: only the metadata line is under test here.
         monkeypatch.setattr(rma_tse.asymptotic, "sweep", lambda spec: [])

@@ -6,7 +6,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from _oracle_refs import exhaustive_entries, graph_average, trellis_dp_entries
+from _oracle_refs import (
+    exhaustive_entries,
+    factor_graph_masks,
+    graph_average,
+    trellis_dp_entries,
+)
 
 import rma_tse.acc
 import rma_tse.cli
@@ -153,6 +158,23 @@ class TestFactorGraph:
         with pytest.raises(RangeError):
             build_factor_graph(config, [(0, 0, 1, 2)])
 
+    @pytest.mark.parametrize("q, k, l_levels", [(2, 2, 1), (2, 2, 2), (1, 3, 2), (2, 1, 2)])
+    def test_masks_equal_reference(self, q, k, l_levels):
+        # The one node rule against the per-neighbour None tests it replaced.
+        config = EnsembleConfig(q=q, K=k, L=l_levels)
+        tuples = itertools.product(itertools.permutations(range(config.N)), repeat=config.L)
+        for perms in tuples:
+            assert build_factor_graph(config, perms).check_masks == factor_graph_masks(config, perms)
+
+    @pytest.mark.parametrize("q, k, l_levels", [(2, 2, 1), (1, 3, 2)])
+    def test_induced_class_universe_bound(self, q, k, l_levels):
+        config = EnsembleConfig(q=q, K=k, L=l_levels)
+        graph = build_factor_graph(config, [tuple(range(config.N))] * config.L)
+        full = (1 << config.a_max) - 1
+        assert graph.induced_class(MembershipAssignment(full))[0] == config.a_max
+        with pytest.raises(RangeError, match="outside the universe"):
+            graph.induced_class(MembershipAssignment(1 << config.a_max))
+
 
 class TestGraphEnsembleAverage:
     def test_spot_values(self):
@@ -171,6 +193,8 @@ class TestGraphEnsembleAverage:
             graph_ensemble_average(EnsembleConfig(q=3, K=2, L=1))
         with pytest.raises(RangeError):
             graph_ensemble_average(EnsembleConfig(q=2, K=2, L=3))
+        with pytest.raises(ResourceLimitError, match="exceeds budget"):
+            graph_ensemble_average(EnsembleConfig(q=2, K=3, L=2))  # 720^2 * 2^13 operations
 
 
 class TestEncode:
@@ -305,8 +329,8 @@ class TestVerifyAll:
         closed = next(c for c in report.comparisons if c.name == "closed_form_vs_trellis")
         assert closed.mismatch is not None
 
-    def test_one_lazy_trellis_walk(self, monkeypatch):
-        # Both trellis comparisons share one walk; no table set is built up front.
+    def test_each_trellis_comparison_walks_once(self, monkeypatch):
+        # Each trellis comparison streams its own walk; no table set is built up front.
         real, walks = rma_tse.oracles._trellis_states, []
 
         def counting(n_max):
@@ -323,8 +347,9 @@ class TestVerifyAll:
         monkeypatch.setattr(rma_tse.oracles, "_trellis_states", counting)
         monkeypatch.setattr(rma_tse.oracles, "_harvest", harvest)
         assert verify_all(self.QUICK).mismatch_count == 0
-        assert walks == [8]
-        assert harvested == list(range(1, 9))  # each length once, as the walk reaches it
+        assert walks == [8, 6]
+        # Each length once per walk, as the walk reaches it.
+        assert harvested == list(range(1, 9)) + list(range(1, 7))
 
     def test_exhaustive_after_closed_form_stops(self, monkeypatch):
         # A closed-form mismatch at n = 2 stops that stream; the exhaustive
@@ -353,7 +378,8 @@ class TestVerifyAll:
 
     def test_verify_memory(self):
         # Measured (tracemalloc peak): 17.0 MiB when all 32 trellis tables were
-        # built before the comparisons, 5.8 MiB with the one streamed walk.
+        # built before the comparisons, 5.8 MiB with one shared streamed walk
+        # and 5.75 MiB with a streamed walk per comparison.
         limits = dataclasses.replace(rma_tse.cli._QUICK_LIMITS, trellis_n_max=32)
         tracemalloc.start()
         try:
@@ -385,6 +411,24 @@ class TestVerifyAll:
                              (rma_tse.ensemble, "ensemble_table")]:
             monkeypatch.setattr(module, name, unreachable)
         with pytest.raises(RangeError) as info:
+            verify_all(dataclasses.replace(self.QUICK, **change))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"graph_configs": ((2, 2, 3),)}, RangeError, "graph oracle supports K <= 3, q <= 2, L <= 2"),
+        ({"graph_configs": ((2, 2, 1), (3, 1, 1))}, RangeError,
+         "graph oracle supports K <= 3, q <= 2, L <= 2"),
+        ({"codeword_config": (3, 3, 3)}, RangeError, "graph oracle supports K <= 3, q <= 2, L <= 2"),
+        ({"graph_configs": ((2, 3, 2),)}, ResourceLimitError,
+         "(N!)^L * 2^universe = 4246732800 exceeds budget"),
+    ], ids=["graph-L3", "graph-q3", "codeword-q3", "graph-budget"])
+    def test_graph_limits_before_any_table(self, monkeypatch, change, error, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table for a graph configuration past its limits")
+
+        for name in ("_trellis_states", "graph_ensemble_average", "build_factor_graph"):
+            monkeypatch.setattr(rma_tse.oracles, name, unreachable)
+        with pytest.raises(error) as info:
             verify_all(dataclasses.replace(self.QUICK, **change))
         assert str(info.value) == message
 
