@@ -46,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Typed(argparse.Action):
+    """Store the value and append the flag to ``args.typed``."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        setattr(namespace, self.dest, values)
+        namespace.typed += (option_string,)
+
+
 def _fmt(x: float) -> str:
     return format(x, ".9g")
 
@@ -173,9 +181,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def command(name: str, summary: str, ints: Sequence[str], table: bool = False) -> _Parser:
-        """A subcommand with required integer flags, then --mode (and --out for a table)."""
+    def command(name: str, run, summary: str, ints: Sequence[str], table: bool = False) -> _Parser:
+        """A subcommand run by ``run(args)``, with required integer flags, then
+        --mode (and --out for a table)."""
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         for flag in ints:
             p.add_argument("--" + flag, type=int, required=True)
         p.add_argument("--mode", choices=("exact", "log"), default="exact")
@@ -183,12 +193,16 @@ def build_parser() -> _Parser:
             p.add_argument("--out", default="-")
         return p
 
-    command("acc", "one accumulator trapping-set class count", ("N", "ai", "ao", "b"))
-    command("acc-table", "all accumulator class counts for one N", ("N",), table=True)
-    command("ensemble", "ensemble-average count of one (a, b) class", ("q", "K", "L", "a", "b"))
-    command("ensemble-table", "all ensemble-average class counts", ("q", "K", "L"), table=True)
+    command("acc", _cmd_acc, "one accumulator trapping-set class count", ("N", "ai", "ao", "b"))
+    command("acc-table", _cmd_acc_table, "all accumulator class counts for one N", ("N",),
+            table=True)
+    command("ensemble", _cmd_ensemble, "ensemble-average count of one (a, b) class",
+            ("q", "K", "L", "a", "b"))
+    command("ensemble-table", _cmd_ensemble_table, "all ensemble-average class counts",
+            ("q", "K", "L"), table=True)
 
     p = sub.add_parser("asym-point", help="spectral shape r(alpha, beta)")
+    p.set_defaults(run=_cmd_asym_point)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -197,22 +211,24 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-points", type=int, default=None)
 
     p = sub.add_parser("asym-sweep", help="constant-ratio spectral-shape sweep")
+    p.set_defaults(run=_cmd_asym_sweep, typed=())
     source = p.add_mutually_exclusive_group()
-    # Sweep-shape flags are absent unless given; see _SWEEP_DEFAULTS.
-    absent = argparse.SUPPRESS
-    p.add_argument("--q", type=int, default=absent)
-    p.add_argument("--L", type=int, default=absent)
-    source.add_argument("--delta", type=float, default=None)
-    p.add_argument("--alpha-min", type=float, default=absent)
-    p.add_argument("--alpha-max", type=float, default=absent)
-    p.add_argument("--alpha-steps", type=int, default=absent)
-    p.add_argument("--split", default=absent)
-    p.add_argument("--grid-points", type=int, default=absent)
-    p.add_argument("--out", default=absent)
-    source.add_argument("--preset", choices=sorted(PRESET_NAMES), default=None)
+    # A preset sets the whole sweep, so it takes none of the _Typed flags.  A
+    # --config line only moves a default, so it never counts as typed.
+    p.add_argument("--q", type=int, default=3, action=_Typed)
+    p.add_argument("--L", type=int, default=2, action=_Typed)
+    source.add_argument("--delta", type=float, default=None, action=_Typed)
+    p.add_argument("--alpha-min", type=float, default=0.01, action=_Typed)
+    p.add_argument("--alpha-max", type=float, default=0.3, action=_Typed)
+    p.add_argument("--alpha-steps", type=int, default=30, action=_Typed)
+    p.add_argument("--split", default="free", action=_Typed)
+    p.add_argument("--grid-points", type=int, default=None, action=_Typed)
+    p.add_argument("--out", default="-", action=_Typed)
+    source.add_argument("--preset", choices=sorted(_PRESETS), default=None)
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("oracle", help="run one brute-force oracle")
+    p.set_defaults(run=_cmd_oracle)
     p.add_argument("--which", choices=("trellis", "exhaustive", "graph"), required=True)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
@@ -221,6 +237,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify", help="cross-check every oracle equality")
+    p.set_defaults(run=_cmd_verify)
     # No defaults here: VerifyLimits holds them, and a flag left out keeps the
     # base's value.  The metavar names the flag, as the help text always has.
     for flag, field in _LIMIT_FLAGS.items():
@@ -231,19 +248,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-PRESET_NAMES = ("fig4", "fig5", "fig6", "fig7")
-
-# ``tse asym-sweep`` sweep-shape settings without --preset; a preset sets
-# them all itself, so it takes none of their flags.
-_SWEEP_DEFAULTS = {
-    "q": 3,
-    "L": 2,
-    "alpha_min": 0.01,
-    "alpha_max": 0.3,
-    "alpha_steps": 30,
-    "split": "free",
-    "grid_points": None,
-    "out": "-",
+# (delta, q, L, split fractions, file name) of each sweep of each preset.
+_PRESETS = {
+    "fig4": [(d, 3, 2, (0.5, 0.5), f"fig4_delta{_fmt(d)}.csv") for d in (0.0, 0.05, 0.1, 0.2)],
+    "fig5": [(0.1, 3, 2, (f1, 1.0 - f1), f"fig5_beta1_{_fmt(f1)}.csv")
+             for f1 in (0.0, 0.25, 0.5, 0.75, 1.0)],
+    "fig6": [(0.1, q, 2, (1.0, 0.0), f"fig6_q{q}.csv") for q in (2, 3, 4, 5)],
+    "fig7": [(0.1, 3, L, (1.0,) + (0.0,) * (L - 1), f"fig7_L{L}.csv") for L in (2, 3, 4)],
 }
 
 # ``tse verify`` limit flags and the VerifyLimits fields they set.
@@ -283,41 +294,34 @@ def preset_sweeps(name: str) -> List[Tuple[SweepSpec, str]]:
     """Figure-style sweep bundles (q defaults to 3 where unspecified)."""
     from .asymptotic import SplitPolicy, SweepSpec
 
-    presets = {  # (delta, q, L, split fractions, file name) of each sweep
-        "fig4": [(d, 3, 2, (0.5, 0.5), f"fig4_delta{_fmt(d)}.csv") for d in (0.0, 0.05, 0.1, 0.2)],
-        "fig5": [(0.1, 3, 2, (f1, 1.0 - f1), f"fig5_beta1_{_fmt(f1)}.csv")
-                 for f1 in (0.0, 0.25, 0.5, 0.75, 1.0)],
-        "fig6": [(0.1, q, 2, (1.0, 0.0), f"fig6_q{q}.csv") for q in (2, 3, 4, 5)],
-        "fig7": [(0.1, 3, L, (1.0,) + (0.0,) * (L - 1), f"fig7_L{L}.csv") for L in (2, 3, 4)],
-    }
-    if name not in presets:
+    if name not in _PRESETS:
         raise UsageError(f"unknown preset {name!r}")
     grid = _alpha_grid(0.01, 0.3, 30)
     return [(SweepSpec(delta=d, alpha_grid=grid, q=q, L=L, split=SplitPolicy.fixed(split)), path)
-            for d, q, L, split, path in presets[name]]
+            for d, q, L, split, path in _PRESETS[name]]
 
 
 def _apply_config(parser: _Parser, argv: List[str]) -> List[str]:
-    """Drop ``--config FILE`` from argv; each ``key=value`` line defaults the flag ``--key``.
+    """Drop ``--config FILE`` (or ``--config=FILE``) from argv; each
+    ``key=value`` line defaults the flag ``--key``.
 
     The defaults belong to the subcommand, so an explicit flag wins and a
-    required flag may come from the file.  A flag absent unless given (the
-    sweep shape of ``asym-sweep``) stays absent: its line goes to ``args.config``.
+    required flag may come from the file.  A line only moves a default: it
+    runs no action, so ``asym-sweep`` never counts it as typed.
     """
-    if "--config" not in argv:
+    config = _Parser(add_help=False, allow_abbrev=False)
+    config.add_argument("--config")
+    options, argv = config.parse_known_args(argv)
+    if options.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config requires a file path")
-    path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2:]
     name = next((arg for arg in argv if not arg.startswith("-")), None)
     if name not in parser.commands:
         return argv  # argparse reports the missing or unknown subcommand
     command = parser.commands[name]
     flags = {flag: action for action in command._actions for flag in action.option_strings}
-    with open(path, "r", encoding="utf-8") as fh:  # run() reports an OSError
+    with open(options.config, "r", encoding="utf-8") as fh:  # run() reports an OSError
         lines = [line.strip() for line in fh]
-    defaults, config = {}, {}
+    defaults = {}
     for line in lines:
         if not line or line.startswith("#"):
             continue
@@ -337,8 +341,8 @@ def _apply_config(parser: _Parser, argv: List[str]) -> List[str]:
         except (KeyError, ValueError):
             raise UsageError(f"config key {key!r}: bad value {raw!r}") from None
         action.required = False
-        (config if action.default is argparse.SUPPRESS else defaults)[action.dest] = value
-    command.set_defaults(config=config, **defaults)
+        defaults[action.dest] = value
+    command.set_defaults(**defaults)
     return argv
 
 
@@ -392,12 +396,9 @@ def _cmd_asym_point(args) -> int:
 def _cmd_asym_sweep(args) -> int:
     from . import asymptotic
 
-    given = ["--" + name.replace("_", "-") for name in _SWEEP_DEFAULTS if name in vars(args)]
-    config = getattr(args, "config", {})  # config lines never count as given
-    args = argparse.Namespace(**{**_SWEEP_DEFAULTS, **config, **vars(args)})
     if args.preset:
-        if given:
-            raise UsageError(f"--preset sets the whole sweep; it takes no {', '.join(given)}")
+        if typed := ", ".join(dict.fromkeys(args.typed)):  # each flag once, in typed order
+            raise UsageError(f"--preset sets the whole sweep; it takes no {typed}")
         os.makedirs(args.out_dir, exist_ok=True)
         jobs = [(spec, os.path.join(args.out_dir, filename))
                 for spec, filename in preset_sweeps(args.preset)]
@@ -446,18 +447,6 @@ def _cmd_verify(args) -> int:
     return 3 if report.mismatch_count else 0
 
 
-_DISPATCH = {
-    "acc": _cmd_acc,
-    "acc-table": _cmd_acc_table,
-    "ensemble": _cmd_ensemble,
-    "ensemble-table": _cmd_ensemble_table,
-    "asym-point": _cmd_asym_point,
-    "asym-sweep": _cmd_asym_sweep,
-    "oracle": _cmd_oracle,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: Sequence[str]) -> int:
     """Parse, dispatch, and map every failure onto the exit-code contract.
 
@@ -466,7 +455,7 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config(parser, list(argv)))
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (UsageError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -287,11 +287,11 @@ def encode(
 class VerifyLimits:
     """Domain sizes for the verification suite (defaults = full gate).
 
-    Construction raises ``RangeError`` for a size limit below 1 or for a
-    limit past the ceiling of the tables it drives (the trellis walk's and
-    the exhaustive oracle's caps, the accumulator table ceiling for row
-    sums, the exact ensemble table ceiling for the closure block length
-    q * K).  A graph or codeword configuration the graph oracle refuses
+    Construction raises ``RangeError`` for a size limit below 1, for an
+    empty ``graph_configs``, or for a limit past the ceiling of the tables
+    it drives (the trellis walk's and the exhaustive oracle's caps, the
+    accumulator table ceiling for row sums, the exact ensemble table
+    ceiling for the closure block length q * K).  A graph or codeword configuration the graph oracle refuses
     raises as the oracle does: ``RangeError`` past its shape limits,
     ``ResourceLimitError`` past ``GRAPH_OP_BUDGET``.  So a bad limit is
     rejected before any table is built.
@@ -308,11 +308,14 @@ class VerifyLimits:
     codeword_config: Tuple[int, int, int] = (2, 2, 2)
 
     def __post_init__(self) -> None:
-        # A limit below 1 would compare no keys and read as a pass.
+        # A limit below 1, or no graph configuration, would compare no keys
+        # and read as a pass.
         for limit in fields(self):
             value = getattr(self, limit.name)
             if limit.name.endswith("_max") and value < 1:
                 raise RangeError(f"{limit.name} must be >= 1, got {value}")
+        if not self.graph_configs:
+            raise RangeError("graph_configs must name at least one configuration")
         if self.trellis_n_max > TRELLIS_N_MAX:
             raise RangeError(
                 f"trellis DP capped at N={TRELLIS_N_MAX}, got {self.trellis_n_max}"

@@ -185,6 +185,24 @@ class TestAsymCommands:
         assert f"takes no {flag}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_preset_lists_typed_flags_once_in_order_exit_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "figs"
+        assert run(["asym-sweep", "--preset", "fig4", "--L", "3", "--q", "7", "--L", "4",
+                    "--out-dir", str(out_dir)]) == 1
+        assert "it takes no --L, --q\n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_asym_sweep_defaults(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", lambda spec: ran.append(spec) or [])
+        assert run(["asym-sweep", "--delta", "0.1"]) == 0
+        (spec,) = ran
+        assert (spec.delta, spec.q, spec.L, spec.split.describe()) == (0.1, 3, 2, "free")
+        assert spec.grid_points == 33
+        assert len(spec.alpha_grid) == 30
+        assert (spec.alpha_grid[0], spec.alpha_grid[-1]) == pytest.approx((0.01, 0.3))
+        assert capsys.readouterr().out.startswith("# q=3 L=2 delta=0.1 split=free grid=33\n")
+
 
 class TestSweepCsv:
     ARGS = [
@@ -644,6 +662,38 @@ class TestConfigFile:
         cfg.write_text("quick=true\n")
         assert run(["verify", "--config", str(cfg), "--n-closed", "4"]) == 0
         assert "OK trellis_vs_exhaustive (604 keys)" in capsys.readouterr().out
+
+    def test_config_equals_form(self, tmp_path, capsys):
+        cfg = tmp_path / "m.conf"
+        cfg.write_text("mode=log\n")
+        assert run(["acc", f"--config={cfg}", "--N", "5", "--ai", "1", "--ao", "0", "--b", "1"]) == 0
+        assert capsys.readouterr().out == "1.60943791\n"
+
+    def test_typed_delta_with_config_preset_exit_1(self, tmp_path, capsys, monkeypatch):
+        # A typed flag is rejected against a preset whether --preset or a
+        # config line set it.
+        def unreachable(spec):
+            raise AssertionError("ran a sweep")
+
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", unreachable)
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("preset=fig6\n")
+        out_dir = tmp_path / "figs"
+        assert run(["asym-sweep", "--config", str(cfg), "--delta", "0.3",
+                    "--out-dir", str(out_dir)]) == 1
+        assert "takes no --delta" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["run", "typed", "config"])
+    def test_parser_attribute_is_no_config_key(self, key, tmp_path, capsys):
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text(key + "=1\n")
+        assert run(["asym-sweep", "--config", str(cfg), "--delta", "0.1"]) == 1
+        assert f"config key {key!r} names no flag of tse asym-sweep" in capsys.readouterr().err
+
+    def test_config_without_path_exit_1(self, capsys):
+        assert run(["acc", "--N", "1", "--ai", "0", "--ao", "0", "--b", "0", "--config"]) == 1
+        assert "argument --config: expected one argument" in capsys.readouterr().err
 
     def test_missing_config(self):
         assert run(["acc", "--config", "/nonexistent", "--N", "1", "--ai", "0", "--ao", "0", "--b", "0"]) == 1

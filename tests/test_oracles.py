@@ -432,6 +432,16 @@ class TestVerifyAll:
             verify_all(dataclasses.replace(self.QUICK, **change))
         assert str(info.value) == message
 
+    def test_empty_graph_configs_before_any_table(self, monkeypatch):
+        # No graph configuration would drop the graph oracle from the gate and
+        # still read as a pass, as a limit below 1 would.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a table for an empty graph_configs")
+
+        monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
+        with pytest.raises(RangeError, match="graph_configs must name at least one configuration"):
+            verify_all(dataclasses.replace(self.QUICK, graph_configs=()))
+
     def test_limits_at_the_table_ceilings(self):
         limits = dataclasses.replace(
             self.QUICK, rowsum_n_max=512, closure_q_max=2, closure_k_max=32
