@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,9 +220,15 @@ class AsymptoticPoint:
 class SweepSpec:
     """A constant-ratio slice: beta = delta * alpha along an alpha grid.
 
-    After construction ``grid_points`` holds the resolved points per axis of
-    every ``r_point`` coarse grid (``_grid_resolution``), also where it was
-    given as ``None``.
+    The spec checks the whole sweep when it is built, so a bad one fails
+    before any point is solved.  Each alpha goes through ``check_unit`` (one
+    within ROUNDING_TOL above 1 becomes 1.0, as the last point of a grid
+    computed up to 1 may be) and must be > 0; the grid must be strictly
+    increasing.  ``queries`` then holds one ``AsymptoticQuery(q, L, alpha,
+    delta * alpha, split)`` per alpha, in grid order, whose own checks cover
+    q, L and the split; an empty grid has none.  ``grid_points`` holds the
+    resolved points per axis of every ``r_point`` coarse grid
+    (``_grid_resolution``), also where it was given as ``None``.
     """
 
     delta: float
@@ -231,16 +237,19 @@ class SweepSpec:
     L: int
     split: SplitPolicy = SplitPolicy.free()
     grid_points: Optional[int] = None
+    queries: Tuple[AsymptoticQuery, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if check_finite("delta", self.delta) < 0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
-        grid = tuple(check_finite("alpha", a) for a in self.alpha_grid)
-        if any(a <= 0.0 or a > 1.0 for a in grid):
+        grid = tuple(check_unit("alpha", a) for a in self.alpha_grid)
+        if any(a <= 0.0 for a in grid):
             raise DomainError("alpha grid values must lie in (0, 1]")
         if any(y <= x for x, y in zip(grid, grid[1:])):
             raise DomainError("alpha grid must be strictly increasing")
         object.__setattr__(self, "alpha_grid", grid)
+        queries = tuple(AsymptoticQuery(self.q, self.L, a, self.delta * a, self.split) for a in grid)
+        object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "grid_points", _grid_resolution(self.L, self.split, self.grid_points))
 
 
@@ -831,15 +840,10 @@ def r_point(query: AsymptoticQuery, grid_points: Optional[int] = None) -> Asympt
 
 
 def sweep(spec: SweepSpec) -> List[AsymptoticPoint]:
-    """One r_point per grid alpha with beta = delta * alpha, in grid order.
+    """One ``r_point`` per query of ``spec`` (beta = delta * alpha), in grid order.
 
-    Infeasible rows carry the infeasibility marker; they do not abort the
-    sweep.
+    Each runs on the spec's resolved ``grid_points``.  The spec checked its
+    queries when it was built; infeasible rows carry the infeasibility
+    marker and do not abort the sweep.
     """
-    points = []
-    for alpha in spec.alpha_grid:
-        query = AsymptoticQuery(
-            q=spec.q, L=spec.L, alpha=alpha, beta=spec.delta * alpha, split=spec.split
-        )
-        points.append(r_point(query, grid_points=spec.grid_points))
-    return points
+    return [r_point(query, grid_points=spec.grid_points) for query in spec.queries]

@@ -213,8 +213,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("asym-sweep", help="constant-ratio spectral-shape sweep")
     p.set_defaults(run=_cmd_asym_sweep, typed=())
     source = p.add_mutually_exclusive_group()
-    # A preset sets the whole sweep, so it takes none of the _Typed flags.  A
-    # --config line only moves a default, so it never counts as typed.
+    # A preset sets the whole sweep, so it takes none of the _Typed flags but
+    # --out-dir, which only a preset takes.  A --config line only moves a
+    # default, so it never counts as typed.
     p.add_argument("--q", type=int, default=3, action=_Typed)
     p.add_argument("--L", type=int, default=2, action=_Typed)
     source.add_argument("--delta", type=float, default=None, action=_Typed)
@@ -225,7 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-points", type=int, default=None, action=_Typed)
     p.add_argument("--out", default="-", action=_Typed)
     source.add_argument("--preset", choices=sorted(_PRESETS), default=None)
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", default=".", action=_Typed)
 
     p = sub.add_parser("oracle", help="run one brute-force oracle")
     p.set_defaults(run=_cmd_oracle)
@@ -397,11 +398,14 @@ def _cmd_asym_sweep(args) -> int:
     from . import asymptotic
 
     if args.preset:
-        if typed := ", ".join(dict.fromkeys(args.typed)):  # each flag once, in typed order
+        # Each flag once, in typed order; --out-dir is the preset's own flag.
+        if typed := ", ".join(dict.fromkeys(f for f in args.typed if f != "--out-dir")):
             raise UsageError(f"--preset sets the whole sweep; it takes no {typed}")
         os.makedirs(args.out_dir, exist_ok=True)
         jobs = [(spec, os.path.join(args.out_dir, filename))
                 for spec, filename in preset_sweeps(args.preset)]
+    elif "--out-dir" in args.typed:
+        raise UsageError("--out-dir needs --preset (one sweep goes to --out)")
     elif args.delta is None:
         raise UsageError("asym-sweep needs --delta (or --preset)")
     else:

@@ -194,6 +194,15 @@ class TestAccIowe:
         with pytest.raises(RangeError):
             acc_iowe(4, 0, -1)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0, 0), "block length must be >= 1, got 0"),
+        ((4, 5, 0), "(w=5, d=0) outside [0, 4]"),
+    ])
+    def test_messages(self, args, message):
+        with pytest.raises(RangeError) as info:
+            acc_iowe(*args)
+        assert str(info.value) == message
+
     def test_matches_b0_slice(self):
         for n in range(1, 25):
             for w in range(n + 1):

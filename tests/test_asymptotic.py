@@ -53,6 +53,12 @@ class TestFRep:
         with pytest.raises(DomainError):
             f_rep(1.01, 2)
 
+    @pytest.mark.parametrize("q", [0, -2])
+    def test_q_below_one(self, q):
+        with pytest.raises(DomainError) as info:
+            f_rep(0.5, q)
+        assert str(info.value) == f"q must be >= 1, got {q}"
+
 
 class TestSplitPolicy:
     def test_free(self):
@@ -72,6 +78,11 @@ class TestSplitPolicy:
     def test_fixed_rejects_non_finite(self, bad):
         with pytest.raises(DomainError):
             SplitPolicy.fixed((bad, 1.0))
+
+    def test_fixed_rejects_negative(self):
+        with pytest.raises(DomainError) as info:
+            SplitPolicy.fixed((-0.5, 1.5))
+        assert str(info.value) == "split fractions must be nonnegative: (-0.5, 1.5)"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -102,6 +113,24 @@ class TestNonFiniteInputs:
         # A NaN start gave InnerOptimum(nan, nan, nan) on a feasible set.
         with pytest.raises(DomainError, match="start"):
             f_acc(AccShapeArgs(0.2, 0.3, 0.1), start=(bad, 0.0))
+
+
+# A query's checks, and the message of each; a SweepSpec runs the first
+# three through the queries it builds.
+BAD_QUERIES = [
+    (dict(q=0, L=2), "q and L must be >= 1, got 0, 2"),
+    (dict(q=3, L=0), "q and L must be >= 1, got 3, 0"),
+    (dict(q=3, L=3, split=SplitPolicy.fixed((0.5, 0.5))), "split has 2 fractions, L=3"),
+    (dict(q=3, L=2, alpha=-0.1), "alpha and beta must be nonnegative"),
+    (dict(q=3, L=2, beta=-0.01), "alpha and beta must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("fields, message", BAD_QUERIES)
+def test_query_rejects(fields, message):
+    with pytest.raises(DomainError) as info:
+        AsymptoticQuery(**{"alpha": 0.1, "beta": 0.01, **fields})
+    assert str(info.value) == message
 
 
 class TestGridResolution:
@@ -278,6 +307,23 @@ class TestInnerBatch:
     # h = alpha_o = 1/2, where P' = 0 at the upper end mu = 1/2, and rows
     # whose nu* is -0.0, which numpy's maximum turns into 0.0.
     DEGENERATE = [(0.5, 0.5, 0.5), (1e-13, 1.0, 0.0), (0.0, 1.0, 1e-13)]
+
+    # Rows feasible within ROUNDING_TOL whose mu lies above an alpha_o (or
+    # 1 - alpha_o) that is itself below ROUNDING_TOL: a perspective term is
+    # infeasible and the value is NEG_INF, the early return of _row_term.
+    TOLERANCE_EDGE = [(3e-12, 1e-12, 0.0), (2.5e-12, 5e-13, 0.0), (0.0, 1e-12, 3e-12),
+                      (3e-12, 1.0 - 1e-12, 0.0), (1.0, 1e-12, 1.0 - 3e-12)]
+
+    def test_tolerance_edge_rows(self):
+        edge = np.array(self.TOLERANCE_EDGE)
+        filler = np.random.default_rng(26).uniform(0.0, 1.0, (_ROW_SOLVE_MAX + 1 - len(edge), 3))
+        ai, ao, b = np.concatenate([edge, filler]).T  # one row past the cut: the array path
+        assert _mu_bounds(ai, ao, b)[2][:len(edge)].all()
+        arrays = _inner(ai, ao, b)
+        rows = _inner(*edge.T)  # below the cut: the row path
+        for got, want in zip(rows, arrays):
+            _assert_same_bits(got, want[:len(edge)])
+        assert np.all(rows[2] == NEG_INF)
 
     def test_rows_independent_of_batch(self):
         # Grid values must not depend on how _grid_stage blocks its rows, nor
@@ -826,6 +872,42 @@ class TestSweep:
         )
         for point in sweep(spec):
             assert point.r <= 1e-3
+
+    @pytest.mark.parametrize("fields, message", BAD_QUERIES[:3])
+    def test_spec_checks_its_queries_when_built(self, fields, message):
+        with pytest.raises(DomainError) as info:
+            SweepSpec(delta=0.1, alpha_grid=(0.1, 0.2), **fields)
+        assert str(info.value) == message
+
+    def test_sweep_runs_the_spec_queries(self, monkeypatch):
+        split = SplitPolicy.fixed((0.5, 0.5))
+        spec = SweepSpec(delta=0.5, alpha_grid=(0.05, 0.1), q=3, L=2, split=split)
+        assert spec.queries == tuple(AsymptoticQuery(3, 2, a, 0.5 * a, split) for a in (0.05, 0.1))
+        assert "queries" not in repr(spec)
+        calls = []
+        monkeypatch.setattr(asymptotic, "r_point", lambda *args, **kw: calls.append((args, kw)))
+        assert sweep(spec) == [None, None]
+        assert calls == [((query,), {"grid_points": 33}) for query in spec.queries]
+
+    @pytest.mark.parametrize("alpha, message", [
+        (1.5, "alpha=1.5 outside [0, 1]"),
+        (1.0 + 2e-12, "alpha=1.000000000002 outside [0, 1]"),
+        (-0.1, "alpha=-0.1 outside [0, 1]"),
+        (0.0, "alpha grid values must lie in (0, 1]"),
+        (-1e-13, "alpha grid values must lie in (0, 1]"),
+    ])
+    def test_alpha_outside_unit_interval(self, alpha, message):
+        with pytest.raises(DomainError) as info:
+            SweepSpec(delta=0.1, alpha_grid=(0.05, alpha), q=3, L=2)
+        assert str(info.value) == message
+
+    def test_alpha_within_rounding_of_one_is_one(self):
+        # A grid computed up to 1 may end at 1.0000000000000002; any alpha
+        # in (0, 1] keeps its bits.
+        grid = (5e-324, 0.3, 1.0 - 2.0**-53, 1.0 + 1e-13)
+        spec = SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=1)
+        assert spec.alpha_grid == grid[:3] + (1.0,)
+        assert (spec.queries[-1].alpha, spec.queries[-1].beta) == (1.0, 0.1)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

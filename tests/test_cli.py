@@ -98,6 +98,15 @@ class TestAsymCommands:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("split, message", [
+        ("fixed:0.5,x", "bad split specification 'fixed:0.5,x'"),
+        ("even", "split must be 'free' or 'fixed:f1,f2,...', got 'even'"),
+    ])
+    def test_split_text_exit_1(self, split, message, capsys):
+        assert run(["asym-point", "--q", "2", "--L", "2", "--alpha", "0.1", "--beta", "0.01",
+                    "--split", split]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_asym_point_non_finite_exit_1(self, flag, bad, capsys):
@@ -163,6 +172,40 @@ class TestAsymCommands:
         assert run(argv) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_asym_sweep_one_alpha_step(self, capsys):
+        assert run(["asym-sweep", "--delta", "0.1", "--alpha-min", "0.05", "--alpha-max", "0.2",
+                    "--alpha-steps", "1", "--grid-points", "5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 1 and rows[0].startswith("0.05,0.005,")
+
+    def test_asym_sweep_ends_at_alpha_max_one(self, capsys):
+        # The last grid point is 0.1 + 7 * (0.9 / 7) = 1.0000000000000002.
+        assert run(["asym-sweep", "--q", "3", "--L", "1", "--delta", "0.1", "--alpha-min", "0.1",
+                    "--alpha-max", "1.0", "--alpha-steps", "8", "--grid-points", "5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 8 and rows[-1].startswith("1,0.1,")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--delta", "0.1", "--q", "0"], "q and L must be >= 1, got 0, 2"),
+        (["--delta", "0.1", "--L", "0"], "q and L must be >= 1, got 3, 0"),
+        (["--delta", "0.1", "--L", "3", "--split", "fixed:0.5,0.5"], "split has 2 fractions, L=3"),
+        (["--delta", "0.1", "--out-dir", "{figs}"], "--out-dir needs --preset"),
+        (["--delta", "0.1", "--out-dir={figs}", "--out", "{figs}.csv"], "--out-dir needs --preset"),
+        (["--out-dir", "{figs}"], "--out-dir needs --preset"),
+        ([], "asym-sweep needs --delta (or --preset)"),
+    ])
+    def test_asym_sweep_rejected_before_any_sweep_exit_1(self, args, message, tmp_path, capsys,
+                                                         monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("ran a sweep")
+
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", unreachable)
+        figs = tmp_path / "figs"
+        argv = ["asym-sweep", "--alpha-steps", "2", "--grid-points", "5"]
+        assert run(argv + [arg.format(figs=figs) for arg in args]) == 1
+        assert message in capsys.readouterr().err
+        assert not figs.exists() and not (tmp_path / "figs.csv").exists()
 
     def test_preset_excludes_delta_exit_1(self, tmp_path, capsys):
         out_dir = tmp_path / "figs"
@@ -469,6 +512,15 @@ class TestOracleCommand:
     def test_missing_params(self):
         assert run(["oracle", "--which", "graph"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--which", "trellis"], "oracle --which trellis needs --N"),
+        (["--which", "exhaustive", "--q", "2"], "oracle --which exhaustive needs --N"),
+        (["--which", "graph", "--q", "2", "--K", "2"], "oracle --which graph needs --q --K --L"),
+    ])
+    def test_missing_params_named(self, argv, message, capsys):
+        assert run(["oracle"] + argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, digest", [
         (["--which", "trellis", "--N", "10"],
          "fea5510e331b52bcdb595955980825c777d8ef6b3027cb7adaef8fe11ed6ecac"),
@@ -649,6 +701,7 @@ class TestConfigFile:
         ("alpha=0.1", "config key 'alpha' names no flag of tse acc"),
         ("mode=fast", "config key 'mode': bad value 'fast'"),
         ("N=many", "config key 'N': bad value 'many'"),
+        ("mode log", "bad config line 'mode log' (want key=value)"),
     ])
     def test_bad_config_key_exit_1(self, line, message, tmp_path, capsys):
         cfg = tmp_path / "tse.conf"
@@ -656,6 +709,18 @@ class TestConfigFile:
         assert run(["acc", "--config", str(cfg), "--N", "3", "--ai", "2", "--ao", "1",
                     "--b", "0"]) == 1
         assert message in capsys.readouterr().err
+
+    def test_config_out_dir_without_preset(self, tmp_path, capsys, monkeypatch):
+        # A config out_dir line is a default, as config sweep lines are under
+        # a preset; only a typed --out-dir needs --preset.
+        ran = []
+        monkeypatch.setattr(rma_tse.asymptotic, "sweep", lambda spec: ran.append(spec) or [])
+        figs = tmp_path / "figs"
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text(f"out_dir={figs}\n")
+        assert run(["asym-sweep", "--config", str(cfg), "--delta", "0.1"]) == 0
+        assert len(ran) == 1 and not figs.exists()
+        assert capsys.readouterr().out.startswith("# q=3 L=2 delta=0.1 split=free grid=33\n")
 
     def test_config_on_off_flag(self, tmp_path, capsys):
         cfg = tmp_path / "tse.conf"
@@ -700,6 +765,11 @@ class TestConfigFile:
 
 
 class TestPresets:
+    def test_unknown_preset(self):
+        with pytest.raises(rma_tse.cli.UsageError) as info:
+            preset_sweeps("fig9")
+        assert str(info.value) == "unknown preset 'fig9'"
+
     def test_preset_structure(self):
         fig4 = preset_sweeps("fig4")
         assert len(fig4) == 4

@@ -65,6 +65,18 @@ class TestConditionalTse:
         with pytest.raises(RangeError):
             conditional_tse(CFG_L2, ConditionalProfile(1, ((0, 2),)))
 
+    @pytest.mark.parametrize("profile, message", [
+        (ConditionalProfile(3, ((0, 2),)), "w=3 outside [0, 2]"),
+        (ConditionalProfile(-1, ((0, 2),)), "w=-1 outside [0, 2]"),
+        (ConditionalProfile(1, ((5, 2),)), "level entry (5, 2) outside [0, 4]"),
+        (ConditionalProfile(1, ((0, -1),)), "level entry (0, -1) outside [0, 4]"),
+        (ConditionalProfile(1, ((0, 2), (0, 2))), "profile has 2 levels, config has L=1"),
+    ])
+    def test_range_messages(self, profile, message):
+        with pytest.raises(RangeError) as info:
+            conditional_tse(CFG_L1, profile)
+        assert str(info.value) == message
+
     def test_log_mode(self):
         lv = conditional_tse(CFG_L1, ConditionalProfile(0, ((1, 2),)), "log")
         assert lv == pytest.approx(math.log(3), abs=1e-12)

@@ -197,6 +197,21 @@ class TestGraphEnsembleAverage:
             graph_ensemble_average(EnsembleConfig(q=2, K=3, L=2))  # 720^2 * 2^13 operations
 
 
+@pytest.mark.parametrize("oracle, args, message", [
+    (trellis_dp, (0,), "block length must be >= 1, got 0"),
+    (exhaustive_acc, (-1,), "block length must be >= 1, got -1"),
+    (build_factor_graph, (EnsembleConfig(q=2, K=2, L=2), [tuple(range(4))]),
+     "need 2 interleavers, got 1"),
+    (encode, ([], [tuple(range(4))]), "need a nonempty input and at least one interleaver"),
+    (encode, ([1, 0], []), "need a nonempty input and at least one interleaver"),
+    (encode, ([1, 2], [tuple(range(4))]), "input bits must be 0/1"),
+])
+def test_range_error_messages(oracle, args, message):
+    with pytest.raises(RangeError) as info:
+        oracle(*args)
+    assert str(info.value) == message
+
+
 class TestEncode:
     def test_all_zero(self):
         x_rep, levels = encode([0, 0], [tuple(range(4))])
