@@ -48,7 +48,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .combinatorics import (
     NEG_INF,
@@ -76,6 +76,7 @@ __all__ = [
 
 # Full-table construction is O(N^4) terms in either value domain; cap it at
 # desk scale.  The name predates the log domain, which shares the ceiling.
+# ``ensemble.EXACT_TABLE_N_MAX`` is a different ceiling, on ensemble tables.
 EXACT_TABLE_N_MAX = 512
 
 # Factor rows of this many (value domain, N) pairs stay cached.
@@ -83,11 +84,24 @@ _ROW_CACHE_SIZE = 8
 
 
 class RangeError(ValueError):
-    """A count or index lies outside its structural range."""
+    """A count or index lies outside its structural range, a block length below 1 too."""
 
 
 class ResourceLimitError(RuntimeError):
-    """The request exceeds a configured size ceiling."""
+    """The request exceeds a configured size ceiling, such as a block length
+    past the ceiling of the work it drives."""
+
+
+def _check_n(N: int, cap: Optional[int] = None, what: str = "") -> None:
+    """The size rule of every block length in the package.
+
+    Below 1 is a ``RangeError``; past ``cap``, the ceiling of ``what``, a
+    ``ResourceLimitError``.
+    """
+    if N < 1:
+        raise RangeError(f"block length must be >= 1, got {N}")
+    if cap is not None and N > cap:
+        raise ResourceLimitError(f"{what} capped at N={cap}, got {N}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +162,7 @@ class AccTriple:
         N = self.N
         if 1 <= N and 0 <= self.a_i <= N and 0 <= self.a_o <= N and 0 <= self.b <= N:
             return  # the common case, in one chained comparison
-        if N < 1:
-            raise RangeError(f"block length must be >= 1, got {N}")
+        _check_n(N)
         for name in ("a_i", "a_o", "b"):
             v = getattr(self, name)
             if not 0 <= v <= self.N:
@@ -294,8 +307,7 @@ def acc_iowe(N: int, w: int, d: int) -> BigCount:
     slice of the trapping-set enumerator.  Odd input weight cannot terminate
     and counts zero.
     """
-    if N < 1:
-        raise RangeError(f"block length must be >= 1, got {N}")
+    _check_n(N)
     if not 0 <= w <= N or not 0 <= d <= N:
         raise RangeError(f"(w={w}, d={d}) outside [0, {N}]")
     if w == 0:
@@ -308,12 +320,7 @@ def acc_iowe(N: int, w: int, d: int) -> BigCount:
 def acc_iotse_table(N: int, mode: str = "exact") -> IotseTable:
     """Tabulate every nonzero class count of block length N."""
     dom = _domain(mode)
-    if N < 1:
-        raise RangeError(f"block length must be >= 1, got {N}")
-    if N > EXACT_TABLE_N_MAX:
-        raise ResourceLimitError(
-            f"{mode} table for N={N} exceeds ceiling {EXACT_TABLE_N_MAX}"
-        )
+    _check_n(N, EXACT_TABLE_N_MAX, f"{mode} table")
     mul, total = dom.mul, dom.total
     by_ao, by_d, by_h = _factor_rows(dom.binom, mul, N)
     # A[a_o][m] for m <= min(a_o, N - a_o); a_o = N never occurs (termination).

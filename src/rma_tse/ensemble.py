@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .acc import (
-    _EXACT, _ROW_CACHE_SIZE, RangeError, ResourceLimitError, _b_range, _count, _Domain, _domain,
-    _Memo, acc_iotse_table,
+    _EXACT, _ROW_CACHE_SIZE, RangeError, _b_range, _check_n, _count, _Domain, _domain, _Memo,
+    acc_iotse_table,
 )
 from .combinatorics import ExactRatio, LogValue
 
@@ -51,7 +51,9 @@ __all__ = [
 ]
 
 # Size ceilings: a full exact table touches O(K * N^2L) profiles, a single
-# class far fewer; log mode trades exactness for reach.
+# class far fewer; log mode trades exactness for reach.  EXACT_TABLE_N_MAX
+# caps ensemble tables; ``acc.EXACT_TABLE_N_MAX`` is a different ceiling, on
+# accumulator tables.
 EXACT_TABLE_N_MAX = 64
 EXACT_CLASS_N_MAX = 128
 LOG_N_MAX = 512
@@ -119,11 +121,7 @@ def _validate_class(config: EnsembleConfig, cls: TrappingSetClass) -> None:
 def _domain_within(config: EnsembleConfig, mode: str, exact_limit: int) -> _Domain:
     """The value domain of ``mode``, once N is inside that mode's ceiling."""
     dom = _domain(mode)
-    limit = exact_limit if dom is _EXACT else LOG_N_MAX
-    if config.N > limit:
-        raise ResourceLimitError(
-            f"N={config.N} exceeds the {mode}-mode ceiling {limit}"
-        )
+    _check_n(config.N, exact_limit if dom is _EXACT else LOG_N_MAX, f"{mode}-mode ensemble")
     return dom
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import acc as _acc
 from . import ensemble as _ensemble
-from .acc import EXTENDED_TRELLIS_EDGES, IotseTable, RangeError, ResourceLimitError
+from .acc import EXTENDED_TRELLIS_EDGES, IotseTable, RangeError, ResourceLimitError, _check_n
 from .combinatorics import binomial
 from .ensemble import EnsembleConfig
 
@@ -78,10 +78,7 @@ def _trellis_states(n_max: int):
     state 0 that end in state 0 and carry that signature.  It is a view into
     the walk's one array, valid until the next section is walked.
     """
-    if n_max < 1:
-        raise RangeError(f"block length must be >= 1, got {n_max}")
-    if n_max > TRELLIS_N_MAX:
-        raise ResourceLimitError(f"trellis DP capped at N={TRELLIS_N_MAX}")
+    _check_n(n_max, TRELLIS_N_MAX, "trellis DP")
     # A cell counts the length-k prefix paths of one (state, a_i, a_o, b): at
     # most C(k, a_o) output subsets times 2^k input subsets, so at most
     # C(n, n//2) * 2^n, and each += below adds to it a disjoint part of those
@@ -130,12 +127,10 @@ def exhaustive_acc(N: int) -> IotseTable:
     termination).  Check k is unsatisfied iff [k in I] ^ [k-1 in O] ^ [k in O].
 
     The pairs are tallied ``_EXHAUSTIVE_BLOCK`` inputs at a time, so no
-    input x output matrix is ever held whole.
+    input x output matrix is ever held whole.  N past ``_EXHAUSTIVE_N_MAX``
+    raises ``ResourceLimitError``, as every size ceiling does.
     """
-    if N < 1:
-        raise RangeError(f"block length must be >= 1, got {N}")
-    if N > _EXHAUSTIVE_N_MAX:
-        raise RangeError(f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {N}")
+    _check_n(N, _EXHAUSTIVE_N_MAX, "exhaustive enumeration")
     pc = np.array([bin(v).count("1") for v in range(1 << N)], dtype=np.int64)
     outputs = np.arange(1 << max(N - 1, 0), dtype=np.int64)
     out_checks = (outputs << 1) ^ outputs
@@ -287,11 +282,12 @@ def encode(
 class VerifyLimits:
     """Domain sizes for the verification suite (defaults = full gate).
 
-    Construction raises ``RangeError`` for a size limit below 1, for an
-    empty ``graph_configs``, or for a limit past the ceiling of the tables
-    it drives (the trellis walk's and the exhaustive oracle's caps, the
-    accumulator table ceiling for row sums, the exact ensemble table
-    ceiling for the closure block length q * K).  A graph or codeword configuration the graph oracle refuses
+    Construction raises ``RangeError`` for a size limit below 1 or an empty
+    ``graph_configs``.  A limit past the ceiling of the table it drives
+    raises the ``ResourceLimitError`` of that table: the trellis walk's and
+    the exhaustive oracle's ceilings, the accumulator table ceiling for row
+    sums, and the exact ensemble table ceiling for the closure block length
+    q * K.  A graph or codeword configuration the graph oracle refuses
     raises as the oracle does: ``RangeError`` past its shape limits,
     ``ResourceLimitError`` past ``GRAPH_OP_BUDGET``.  So a bad limit is
     rejected before any table is built.
@@ -316,24 +312,11 @@ class VerifyLimits:
                 raise RangeError(f"{limit.name} must be >= 1, got {value}")
         if not self.graph_configs:
             raise RangeError("graph_configs must name at least one configuration")
-        if self.trellis_n_max > TRELLIS_N_MAX:
-            raise RangeError(
-                f"trellis DP capped at N={TRELLIS_N_MAX}, got {self.trellis_n_max}"
-            )
-        if self.exhaustive_n_max > _EXHAUSTIVE_N_MAX:
-            raise RangeError(
-                f"exhaustive enumeration capped at N={_EXHAUSTIVE_N_MAX}, got {self.exhaustive_n_max}"
-            )
-        if self.rowsum_n_max > _acc.EXACT_TABLE_N_MAX:
-            raise RangeError(
-                f"row-sum tables capped at N={_acc.EXACT_TABLE_N_MAX}, got {self.rowsum_n_max}"
-            )
-        closure_n = self.closure_q_max * self.closure_k_max
-        if closure_n > _ensemble.EXACT_TABLE_N_MAX:
-            raise RangeError(
-                f"closure tables capped at N={_ensemble.EXACT_TABLE_N_MAX},"
-                f" got N={closure_n} (closure_q_max * closure_k_max)"
-            )
+        _check_n(self.trellis_n_max, TRELLIS_N_MAX, "trellis DP")
+        _check_n(self.exhaustive_n_max, _EXHAUSTIVE_N_MAX, "exhaustive enumeration")
+        _check_n(self.rowsum_n_max, _acc.EXACT_TABLE_N_MAX, "row-sum tables")
+        _check_n(self.closure_q_max * self.closure_k_max, _ensemble.EXACT_TABLE_N_MAX,
+                 "closure tables")
         # The codeword check walks every interleaver tuple as the graph oracle
         # does, with 2^K words in place of 2^universe masks, so its limits hold too.
         for config in (*self.graph_configs, self.codeword_config):

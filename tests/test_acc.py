@@ -259,8 +259,9 @@ class TestAccIotseTable:
                         assert acc_iotse(AccTriple(n, a_i, a_o, b), mode) == zero
 
     def test_exact_ceiling(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as info:
             acc_iotse_table(513)
+        assert str(info.value) == "exact table capped at N=512, got 513"
 
     def test_log_ceiling_before_any_count(self, monkeypatch):
         def unreachable(*args):

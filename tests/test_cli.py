@@ -618,8 +618,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (["--quick", "--n-rowsum", "600"], "row-sum tables capped at N=512, got 600"),
-        (["--closure-kmax", "30"],
-         "closure tables capped at N=64, got N=90 (closure_q_max * closure_k_max)"),
+        (["--closure-kmax", "30"], "closure tables capped at N=64, got 90"),
         (["--n-closed", "49"], "trellis DP capped at N=48, got 49"),
     ])
     def test_table_ceiling_exit_1(self, argv, message, capsys, monkeypatch):

@@ -105,8 +105,9 @@ class TestEnsembleTse:
 
     def test_exact_ceiling(self):
         big = EnsembleConfig(q=2, K=70, L=1)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as info:
             ensemble_tse(big, TrappingSetClass(1, 2))
+        assert str(info.value) == "exact-mode ensemble capped at N=128, got 140"
 
     def test_breakdown_value_matches_plain_query(self):
         for cfg in (CFG_L2,) + MORE_CFGS:
@@ -176,8 +177,9 @@ class TestEnsembleTable:
                 assert abs(math.exp(logs[key] - math.log(float(v))) - 1.0) <= 1e-8
 
     def test_table_ceiling(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as info:
             ensemble_table(EnsembleConfig(q=2, K=40, L=1))
+        assert str(info.value) == "exact-mode ensemble capped at N=64, got 80"
 
     def test_exact_table_memory(self):
         # Measured (tracemalloc peak): 43.6 MiB when each state kept a list of

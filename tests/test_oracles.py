@@ -17,8 +17,8 @@ import rma_tse.acc
 import rma_tse.cli
 import rma_tse.ensemble
 import rma_tse.oracles
-from rma_tse.acc import IotseTable, RangeError, ResourceLimitError
-from rma_tse.ensemble import EnsembleConfig
+from rma_tse.acc import IotseTable, RangeError, ResourceLimitError, acc_iotse_table
+from rma_tse.ensemble import EnsembleConfig, ensemble_table
 from rma_tse.oracles import (
     ComparisonResult,
     FactorGraph,
@@ -62,8 +62,9 @@ class TestTrellisDp:
             assert sum(trellis_dp(n).entries.values()) == 2 ** (2 * n - 1)
 
     def test_ceiling(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as info:
             trellis_dp(49)
+        assert str(info.value) == "trellis DP capped at N=48, got 49"
 
 
 class TestExhaustiveAcc:
@@ -77,8 +78,10 @@ class TestExhaustiveAcc:
             assert exhaustive_acc(n).entries == trellis_dp(n).entries
 
     def test_range_error(self):
-        with pytest.raises(RangeError):
+        # Past its ceiling the oracle raises as every size ceiling does.
+        with pytest.raises(ResourceLimitError) as info:
             exhaustive_acc(13)
+        assert str(info.value) == "exhaustive enumeration capped at N=12, got 13"
 
 
 def _assert_same_table(got, want):
@@ -205,6 +208,7 @@ class TestGraphEnsembleAverage:
     (encode, ([], [tuple(range(4))]), "need a nonempty input and at least one interleaver"),
     (encode, ([1, 0], []), "need a nonempty input and at least one interleaver"),
     (encode, ([1, 2], [tuple(range(4))]), "input bits must be 0/1"),
+    (acc_iotse_table, (0,), "block length must be >= 1, got 0"),
 ])
 def test_range_error_messages(oracle, args, message):
     with pytest.raises(RangeError) as info:
@@ -388,8 +392,9 @@ class TestVerifyAll:
 
         monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
         monkeypatch.setattr(rma_tse.acc, "acc_iotse_table", unreachable)
-        with pytest.raises(RangeError, match="trellis DP capped at N=48, got 49"):
+        with pytest.raises(ResourceLimitError) as info:
             verify_all(dataclasses.replace(self.QUICK, trellis_n_max=49))
+        assert str(info.value) == "trellis DP capped at N=48, got 49"
 
     def test_verify_memory(self):
         # Measured (tracemalloc peak): 17.0 MiB when all 32 trellis tables were
@@ -409,15 +414,24 @@ class TestVerifyAll:
             raise AssertionError("built a table past the exhaustive cap")
 
         monkeypatch.setattr(rma_tse.oracles, "_trellis_states", unreachable)
-        with pytest.raises(RangeError, match="capped at N=12, got 13"):
+        with pytest.raises(ResourceLimitError) as info:
             verify_all(dataclasses.replace(self.QUICK, exhaustive_n_max=13))
+        assert str(info.value) == "exhaustive enumeration capped at N=12, got 13"
 
-    @pytest.mark.parametrize("change, message", [
-        ({"rowsum_n_max": 513}, "row-sum tables capped at N=512, got 513"),
-        ({"closure_q_max": 3, "closure_k_max": 22},
-         "closure tables capped at N=64, got N=66 (closure_q_max * closure_k_max)"),
+    @pytest.mark.parametrize("change, message, guard, args", [
+        ({"rowsum_n_max": 513}, "row-sum tables capped at N=512, got 513",
+         acc_iotse_table, (513,)),
+        ({"closure_q_max": 3, "closure_k_max": 22}, "closure tables capped at N=64, got 66",
+         ensemble_table, (EnsembleConfig(3, 22, 1),)),
+        ({"trellis_n_max": 49}, "trellis DP capped at N=48, got 49", trellis_dp, (49,)),
+        ({"exhaustive_n_max": 13}, "exhaustive enumeration capped at N=12, got 13",
+         exhaustive_acc, (13,)),
     ])
-    def test_table_ceiling_before_any_table(self, monkeypatch, change, message):
+    def test_table_ceiling_before_any_table(self, monkeypatch, change, message, guard, args):
+        # A limit past its ceiling raises the exception of the call it drives.
+        with pytest.raises(Exception) as guarded:
+            guard(*args)
+
         def unreachable(*args, **kwargs):
             raise AssertionError("built a table for a limit past its ceiling")
 
@@ -425,9 +439,10 @@ class TestVerifyAll:
                              (rma_tse.acc, "acc_iotse_table"),
                              (rma_tse.ensemble, "ensemble_table")]:
             monkeypatch.setattr(module, name, unreachable)
-        with pytest.raises(RangeError) as info:
+        with pytest.raises(Exception) as info:
             verify_all(dataclasses.replace(self.QUICK, **change))
-        assert str(info.value) == message
+        assert (type(info.value), str(info.value)) == (guarded.type, message)
+        assert guarded.type is ResourceLimitError
 
     @pytest.mark.parametrize("change, error, message", [
         ({"graph_configs": ((2, 2, 3),)}, RangeError, "graph oracle supports K <= 3, q <= 2, L <= 2"),
