@@ -79,7 +79,7 @@ _GRID_BUDGET = 600_000
 # by 6 MiB, from inner solves of up to 2,513 feasible rows (free L=2).
 _SCREEN_BLOCK = 1024
 # A grid point that the inner solve counts as feasible meets every row of
-# ``_polytope`` to within 6 tolerances (ROUNDING_TOL): ``_unpack`` accepts
+# the polytope of ``_layout`` to within 6 tolerances (ROUNDING_TOL): ``_unpack`` accepts
 # levels up to one outside [0, 1] and clips them, which moves a row such as
 # 2 alpha_o - (alpha_i - beta) by at most 4, and ``_inner`` accepts
 # |alpha_i - beta| / 2 <= min(alpha_o, 1 - alpha_o) + ROUNDING_TOL on the
@@ -171,6 +171,14 @@ class InnerOptimum:
 
 @dataclass(frozen=True)
 class AsymptoticQuery:
+    """One point (alpha, beta) of the shape of the (q, L) chain, with a split.
+
+    alpha and beta must be finite and nonnegative.  alpha counts every
+    erroneous variable node of the chain, so its domain is [0, 1/q + L],
+    and beta's is [0, L]; ``r_point`` answers a query past them as
+    infeasible.
+    """
+
     q: int
     L: int
     alpha: float
@@ -221,14 +229,14 @@ class SweepSpec:
     """A constant-ratio slice: beta = delta * alpha along an alpha grid.
 
     The spec checks the whole sweep when it is built, so a bad one fails
-    before any point is solved.  Each alpha goes through ``check_unit`` (one
-    within ROUNDING_TOL above 1 becomes 1.0, as the last point of a grid
-    computed up to 1 may be) and must be > 0; the grid must be strictly
-    increasing.  ``queries`` then holds one ``AsymptoticQuery(q, L, alpha,
-    delta * alpha, split)`` per alpha, in grid order, whose own checks cover
-    q, L and the split; an empty grid has none.  ``grid_points`` holds the
-    resolved points per axis of every ``r_point`` coarse grid
-    (``_grid_resolution``), also where it was given as ``None``.
+    before any point is solved.  ``queries`` holds one ``AsymptoticQuery(q,
+    L, alpha, delta * alpha, split)`` per alpha of the grid as given, in grid
+    order, whose own checks cover q, L, the split and each alpha (finite and
+    nonnegative; ``r_point`` answers one past the query's domain as
+    infeasible); an empty grid has none.  The grid must be strictly
+    increasing.  ``grid_points`` holds the resolved points per axis of every
+    ``r_point`` coarse grid (``_grid_resolution``), also where it was given
+    as ``None``.
     """
 
     delta: float
@@ -242,13 +250,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if check_finite("delta", self.delta) < 0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
-        grid = tuple(check_unit("alpha", a) for a in self.alpha_grid)
-        if any(a <= 0.0 for a in grid):
-            raise DomainError("alpha grid values must lie in (0, 1]")
+        grid = tuple(self.alpha_grid)
+        queries = tuple(AsymptoticQuery(self.q, self.L, a, self.delta * a, self.split) for a in grid)
         if any(y <= x for x, y in zip(grid, grid[1:])):
             raise DomainError("alpha grid must be strictly increasing")
         object.__setattr__(self, "alpha_grid", grid)
-        queries = tuple(AsymptoticQuery(self.q, self.L, a, self.delta * a, self.split) for a in grid)
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "grid_points", _grid_resolution(self.L, self.split, self.grid_points))
 
@@ -524,18 +530,31 @@ def _grid_resolution(L: int, split: SplitPolicy, grid_points: Optional[int]) -> 
 
 
 @functools.lru_cache(maxsize=1)
-def _level_map(query: AsymptoticQuery) -> Tuple[np.ndarray, np.ndarray]:
-    """The affine map from a free vector to the level fractions.
+def _layout(query: AsymptoticQuery):
+    """The free vector of ``query``: its level map, its box and its polytope.
 
     The free vector is (omega, alpha_o_1..alpha_o_{L-1}), followed with a
     free split by (beta_1..beta_{L-1}).  The last level's output share
     alpha - omega/q - sum alpha_o_l and, with a free split, its check share
-    beta - sum beta_l are pinned by the constraints.  Returns (K, k) such
-    that level l has (alpha_i, alpha_o, beta) = K[:, l] @ x + k[:, l]; its
-    input fraction is omega for l = 0 and alpha_o_{l-1} after that.
+    beta - sum beta_l are pinned by the constraints.  Returns
+    (K, k, box, free, A, a):
 
-    The map of the last query is kept, as ``r_point`` asks for it at every
-    evaluation; K and k are read-only, because every caller shares them.
+    - the level map: level l has (alpha_i, alpha_o, beta) = K[:, l] @ x +
+      k[:, l]; its input fraction is omega for l = 0 and alpha_o_{l-1} after
+      that;
+    - the box [0, box] of the free vector (omega <= q alpha, each alpha_o_l
+      <= alpha, each beta_l <= beta, and each <= 1), and ``free``, the
+      coordinates whose box is more than one point (the others stay at 0);
+    - the polytope A @ x[free] + a >= 0 on those coordinates: per level,
+      |alpha_i - beta| <= 2 min(alpha_o, 1 - alpha_o) (the inner problem's
+      mu interval is nonempty), plus 0 <= beta <= 1 for the pinned last
+      check share (0 <= alpha_o <= 1 follows from the former); only the rows
+      that involve a free coordinate are kept.
+
+    This is the one place where the free vector's dimension, box and rows
+    are derived.  The layout of the last query is kept, as ``r_point`` reads
+    it at every evaluation, in its grid and in its refinement; its arrays
+    are read-only, because every caller shares them.
     """
     q, L = query.q, query.L
     n = L + (L - 1 if query.split.is_free else 0)
@@ -550,18 +569,18 @@ def _level_map(query: AsymptoticQuery) -> Tuple[np.ndarray, np.ndarray]:
         b[-1, L:], k[2, -1] = -1.0, query.beta
     else:
         k[2] = np.asarray(query.split.fractions) * query.beta
-    K.flags.writeable = k.flags.writeable = False
-    return K, k
-
-
-def _upper(query: AsymptoticQuery) -> np.ndarray:
-    """Upper ends of the box of the free vector; every lower end is 0."""
-    n_betas = query.L - 1 if query.split.is_free else 0
-    return np.array(
-        [min(1.0, query.q * query.alpha)]
-        + [min(1.0, query.alpha)] * (query.L - 1)
-        + [min(1.0, query.beta)] * n_betas
-    )
+    box = np.minimum(1.0, [q * query.alpha] + [query.alpha] * (L - 1) + [query.beta] * (n - L))
+    D, d0 = K[0] - K[2], k[0] - k[2]
+    O, o0 = 2.0 * K[1], 2.0 * k[1]
+    A = np.concatenate([O - D, O + D, -O - D, -O + D, K[2, -1:], -K[2, -1:]])
+    a = np.concatenate([o0 - d0, o0 + d0, 2.0 - o0 - d0, 2.0 - o0 + d0, k[2, -1:], 1.0 - k[2, -1:]])
+    free = box > 0.0
+    A = A[:, free]
+    moving = np.any(A != 0.0, axis=1)  # rows on fixed coordinates only are constants
+    layout = K, k, box, free, A[moving], a[moving]
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def _unpack(query: AsymptoticQuery, x: np.ndarray):
@@ -571,9 +590,9 @@ def _unpack(query: AsymptoticQuery, x: np.ndarray):
     is clamped into [0, 1]; a row is infeasible (``ok`` false) when a
     fraction leaves [0, 1] by more than the tolerance, which only the pinned
     shares of the last level can do inside the box.  The fractions come
-    from the query's ``_level_map``.
+    from the level map (K, k) of the query's ``_layout``.
     """
-    K, k = _level_map(query)
+    K, k = _layout(query)[:2]
     levels = np.swapaxes(K @ x.T, 1, 2) + k[:, None, :]
     ok = np.all((levels >= -ROUNDING_TOL) & (levels <= 1.0 + ROUNDING_TOL), axis=(0, 2))
     return np.clip(levels, 0.0, 1.0), ok
@@ -650,7 +669,7 @@ def _value_and_grad(query: AsymptoticQuery, x: np.ndarray) -> Tuple[float, np.nd
     slopes[2] = np.where(pinned | full, 0.0, 0.5 * (rate - bias))
     slopes[1, :-1] -= np.log((1.0 - ao[:-1]) / ao[:-1])
     slopes[0, 0] += (1.0 / query.q - 1.0) * np.log((1.0 - ai[0]) / ai[0])
-    return float(values[0]), np.einsum("vl,vln->n", slopes, _level_map(query)[0])
+    return float(values[0]), np.einsum("vl,vln->n", slopes, _layout(query)[0])
 
 
 def _coords(axes: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
@@ -662,20 +681,21 @@ def _coords(axes: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
 def _grid_stage(query: AsymptoticQuery, grid_points: Optional[int]):
     """Deterministic coarse grid; returns its axes, values and shape.
 
-    The grid is the product of ``axes`` (one per coordinate of ``_upper``)
-    in C order: ``values`` reshaped to ``shape`` is the grid, and
-    ``_coords`` gives the coordinates of any of its rows.  The loop makes the
-    coordinates of ``_SCREEN_BLOCK`` rows at a time and screens them against
-    ``_polytope`` with the slack ``_SCREEN_SLACK``: every row the inner
-    solve would count as feasible passes on to it, and the rest keep
-    NEG_INF.  ``_unpack`` and ``_inner`` still decide the feasibility of the
-    rows that pass, so the values are those of evaluating every row.
+    The grid is the product of ``axes`` in C order, one axis per coordinate
+    of the free vector, from 0 to its upper end in the box of ``_layout``:
+    ``values`` reshaped to ``shape`` is the grid, and ``_coords`` gives the
+    coordinates of any of its rows.  The loop makes the coordinates of
+    ``_SCREEN_BLOCK`` rows at a time and screens them against the layout's
+    polytope with the slack ``_SCREEN_SLACK``: every row the inner solve
+    would count as feasible passes on to it, and the rest keep NEG_INF.
+    ``_unpack`` and ``_inner`` still decide the feasibility of the rows that
+    pass, so the values are those of evaluating every row.
     """
     g = _grid_resolution(query.L, query.split, grid_points)
+    _, _, box, free, A, a = _layout(query)
     # A coordinate whose box is one point (upper end 0) has a one-point axis.
-    axes = [np.linspace(0.0, upper, g if upper > 0.0 else 1) for upper in _upper(query)]
+    axes = [np.linspace(0.0, upper, g if upper > 0.0 else 1) for upper in box]
     shape = tuple(axis.size for axis in axes)
-    free, A, a, _ = _polytope(query)
     values = np.full(math.prod(shape), NEG_INF)
     for start in range(0, values.size, _SCREEN_BLOCK):
         rows = np.arange(start, min(start + _SCREEN_BLOCK, values.size))
@@ -706,28 +726,6 @@ def _peaks(values: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return peaks[np.argsort(-values[peaks], kind="stable")[:_N_SEEDS]]
 
 
-def _polytope(query: AsymptoticQuery):
-    """The feasible set of the free vector: the box [0, hi] and A @ x + a >= 0.
-
-    The box is that of ``_upper``; the rows are, per level, |alpha_i - beta|
-    <= 2 min(alpha_o, 1 - alpha_o) (the inner problem's mu interval is
-    nonempty) plus 0 <= beta <= 1 for the pinned last check share (0 <=
-    alpha_o <= 1 follows from the former).  Returns (free, A, a, hi) on the
-    coordinates whose box is more than one point (``free``; the others stay
-    at 0): the rows that involve any of them, and their upper ends.
-    """
-    K, k = _level_map(query)
-    D, d0 = K[0] - K[2], k[0] - k[2]
-    O, o0 = 2.0 * K[1], 2.0 * k[1]
-    A = np.concatenate([O - D, O + D, -O - D, -O + D, K[2, -1:], -K[2, -1:]])
-    a = np.concatenate([o0 - d0, o0 + d0, 2.0 - o0 - d0, 2.0 - o0 + d0, k[2, -1:], 1.0 - k[2, -1:]])
-    hi = _upper(query)
-    free = hi > 0.0
-    A = A[:, free]
-    moving = np.any(A != 0.0, axis=1)  # rows on fixed coordinates only are constants
-    return free, A[moving], a[moving], hi[free]
-
-
 def _deepest(A: np.ndarray, a: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The point of ``A @ y + a >= 0``, 0 <= y <= hi with the largest minimum slack.
 
@@ -745,7 +743,7 @@ def _deepest(A: np.ndarray, a: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _refine(query: AsymptoticQuery, seeds: np.ndarray, center: np.ndarray) -> np.ndarray:
     """SLSQP ascent from each seed (row of ``seeds``); returns the end points.
 
-    SLSQP gets the box of ``_polytope`` as bounds, its rows as linear
+    SLSQP gets the box of ``_layout`` as bounds, its polytope's rows as linear
     inequalities, and the gradient of ``_value_and_grad``.  Every constraint
     is tightened toward a strictly feasible point c by the fraction
     ``_SHRINK`` of its slack there (``_SCREEN_SLACK`` where that fraction is
@@ -759,7 +757,8 @@ def _refine(query: AsymptoticQuery, seeds: np.ndarray, center: np.ndarray) -> np
     box is one point stay at 0.  Without room (no such coordinate left, or
     no strictly feasible point) the seeds are returned as they are.
     """
-    free, A, a, hi = _polytope(query)
+    _, _, box, free, A, a = _layout(query)
+    hi = box[free]
     if not free.any():
         return seeds
 
@@ -816,9 +815,16 @@ def r_point(query: AsymptoticQuery, grid_points: Optional[int] = None) -> Asympt
     best grid points are mostly neighbours on one peak, and they would all
     climb to the same end.  The answer is the best of the refined points
     and the best grid point, compared by their true objective value.
-    Infeasible queries return r = NEG_INF with no witness.
+    Infeasible queries return r = NEG_INF with no witness.  So does, once
+    ``grid_points`` is checked and before anything is built, a query past
+    the domain: omega is at most 1 and each level's fractions at most
+    1 + ROUNDING_TOL, so a feasible point has alpha - 1/q and beta at most
+    L (1 + ROUNDING_TOL).  (The layout of alpha = 1e308 would overflow.)
     """
-    axes, values, shape = _grid_stage(query, grid_points)
+    g = _grid_resolution(query.L, query.split, grid_points)
+    if max(query.alpha - 1.0 / query.q, query.beta) > query.L * (1.0 + ROUNDING_TOL):
+        return AsymptoticPoint(query.alpha, query.beta, NEG_INF, None)
+    axes, values, shape = _grid_stage(query, g)
     feasible = np.flatnonzero(values > NEG_INF)
     if not feasible.size:
         return AsymptoticPoint(query.alpha, query.beta, NEG_INF, None)

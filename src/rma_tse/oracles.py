@@ -50,12 +50,13 @@ __all__ = [
     "encode",
     "verify_all",
     "TRELLIS_N_MAX",
+    "EXHAUSTIVE_N_MAX",
     "GRAPH_OP_BUDGET",
 ]
 
 TRELLIS_N_MAX = 48
 GRAPH_OP_BUDGET = 10**9
-_EXHAUSTIVE_N_MAX = 12
+EXHAUSTIVE_N_MAX = 12
 _EXHAUSTIVE_BLOCK = 64  # inputs per exhaustive tally block
 
 # A permutation is a 0-based tuple p with v[k] = y[p[k]].
@@ -127,10 +128,10 @@ def exhaustive_acc(N: int) -> IotseTable:
     termination).  Check k is unsatisfied iff [k in I] ^ [k-1 in O] ^ [k in O].
 
     The pairs are tallied ``_EXHAUSTIVE_BLOCK`` inputs at a time, so no
-    input x output matrix is ever held whole.  N past ``_EXHAUSTIVE_N_MAX``
+    input x output matrix is ever held whole.  N past ``EXHAUSTIVE_N_MAX``
     raises ``ResourceLimitError``, as every size ceiling does.
     """
-    _check_n(N, _EXHAUSTIVE_N_MAX, "exhaustive enumeration")
+    _check_n(N, EXHAUSTIVE_N_MAX, "exhaustive enumeration")
     pc = np.array([bin(v).count("1") for v in range(1 << N)], dtype=np.int64)
     outputs = np.arange(1 << max(N - 1, 0), dtype=np.int64)
     out_checks = (outputs << 1) ^ outputs
@@ -313,7 +314,7 @@ class VerifyLimits:
         if not self.graph_configs:
             raise RangeError("graph_configs must name at least one configuration")
         _check_n(self.trellis_n_max, TRELLIS_N_MAX, "trellis DP")
-        _check_n(self.exhaustive_n_max, _EXHAUSTIVE_N_MAX, "exhaustive enumeration")
+        _check_n(self.exhaustive_n_max, EXHAUSTIVE_N_MAX, "exhaustive enumeration")
         _check_n(self.rowsum_n_max, _acc.EXACT_TABLE_N_MAX, "row-sum tables")
         _check_n(self.closure_q_max * self.closure_k_max, _ensemble.EXACT_TABLE_N_MAX,
                  "closure tables")

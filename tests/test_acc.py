@@ -289,6 +289,10 @@ class TestDecompositions:
         assert recs[0][0].m == 1 and recs[0][0].n == 0
         assert recs[0][1] == 2
 
+    def test_odd_parity_is_empty(self):
+        # a_i + b odd: no error event pattern has that parity.
+        assert decompositions(AccTriple(3, 1, 1, 0)) == []
+
     def test_empty_set_record(self):
         recs = decompositions(AccTriple(6, 0, 0, 0))
         assert len(recs) == 1

@@ -241,11 +241,11 @@ def test_criterion_09_fig7_properties():
 
 
 def test_criterion_10_finite_to_asymptotic():
+    # alpha counts every erroneous variable node of the chain, so it runs
+    # over [0, 1/q + L]: the ray (1.2, 0.12) lies past alpha = 1.
     started = time.monotonic()
-    alpha, beta = 0.1, 0.02
-    r = r_point(AsymptoticQuery(q=3, L=2, alpha=alpha, beta=beta)).r
 
-    def finite_log(N: int) -> float:
+    def finite_log(N: int, alpha: float, beta: float) -> float:
         """ln of the class count at the rounded target, after the minimal
         parity fix on b (+-1); NEG_INF when no such sets exist yet."""
         config = EnsembleConfig(q=3, K=N // 3, L=2)
@@ -258,16 +258,20 @@ def test_criterion_10_finite_to_asymptotic():
                 return value
         return NEG_INF
 
-    gaps = []
-    for N in (24, 48, 96):
-        ln_value = finite_log(N)
-        gap = math.inf if ln_value == NEG_INF else abs(ln_value / N - r)
-        gaps.append(gap)
-    assert gaps[0] > gaps[1] > gaps[2], gaps
-    assert gaps[2] <= 0.15, gaps
+    rays = {}
+    for alpha, beta in ((0.1, 0.02), (1.2, 0.12)):
+        r = r_point(AsymptoticQuery(q=3, L=2, alpha=alpha, beta=beta)).r
+        gaps = []
+        for N in (24, 48, 96):
+            ln_value = finite_log(N, alpha, beta)
+            gap = math.inf if ln_value == NEG_INF else abs(ln_value / N - r)
+            gaps.append(gap)
+        assert gaps[0] > gaps[1] > gaps[2], (alpha, beta, gaps)
+        assert gaps[2] <= 0.15, (alpha, beta, gaps)
+        rays[alpha, beta] = gaps
     elapsed = time.monotonic() - started
     assert elapsed <= 600.0, f"runtime {elapsed:.1f}s exceeds 600s"
-    _report(10, f"gap strictly shrinking over N in (24,48,96): {gaps}", started)
+    _report(10, f"gap strictly shrinking over N in (24,48,96): {rays}", started)
 
 
 def test_criterion_11_sup_dominance():

@@ -24,13 +24,12 @@ from rma_tse.asymptotic import (
     _grid_resolution,
     _grid_stage,
     _inner,
-    _level_map,
+    _layout,
     _mu_bounds,
     _objective,
     _peaks,
     _refine,
     _unpack,
-    _upper,
     _value_and_grad,
     f_acc,
     f_rep,
@@ -399,6 +398,31 @@ class TestRPoint:
         assert point.witness is None
         assert not point.feasible
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (1e308, 1e308), (1e308, 0.1), (0.1, 1e308), (1.0 / 3 + 2 + 5e-12, 2.0), (1.0, 2 + 5e-12),
+    ])
+    def test_past_the_domain_is_infeasible(self, alpha, beta):
+        # Every fraction of the free vector is at most 1 (each level's within
+        # ROUNDING_TOL), so a feasible point has alpha <= 1/q + L and beta <= L
+        # up to L * ROUNDING_TOL; past them r_point builds nothing (a layout of
+        # alpha = 1e308 would overflow).  RuntimeWarnings are errors.
+        query = AsymptoticQuery(q=3, L=2, alpha=alpha, beta=beta)
+        _layout.cache_clear()
+        point = r_point(query)
+        assert point.r == NEG_INF and point.witness is None
+        assert _layout.cache_info().misses == 0
+        # A bad grid is refused all the same.
+        with pytest.raises(DomainError) as info:
+            r_point(query, grid_points=1)
+        assert str(info.value) == "grid_points must be >= 2, got 1"
+
+    def test_domain_corner(self):
+        # alpha = 1/q + L and beta = L within rounding: every fraction is 1.
+        for alpha, beta in [(1.0 / 3 + 2, 2.0), (1.0 / 3 + 2 + 1e-13, 2.0 + 1e-13)]:
+            point = r_point(AsymptoticQuery(q=3, L=2, alpha=alpha, beta=beta), grid_points=9)
+            assert point.r == 0.0 and point.witness.omega == 1.0
+            assert all((lv.alpha_o, lv.beta) == (1.0, 1.0) for lv in point.witness.levels)
+
     def test_witness_constraints_and_value(self):
         query = AsymptoticQuery(q=3, L=2, alpha=0.12, beta=0.018)
         _check_witness(query, r_point(query))
@@ -548,7 +572,7 @@ def _check_witness(query, point):
 
 def _interior_points(query, rng, count):
     """Random free vectors well inside the feasible polytope."""
-    upper = _upper(query)
+    upper = _layout(query)[2]
     x = rng.uniform(0.05, 0.95, size=(20_000, upper.size)) * upper
     (ai, ao, b), ok = _unpack(query, x)
     room = np.minimum(ao, 1.0 - ao) - 0.5 * np.abs(ai - b)
@@ -560,21 +584,30 @@ def _interior_points(query, rng, count):
 
 
 class TestLevelMap:
+    """``_layout``: the level map, the box and the polytope of a query."""
+
     QUERY = AsymptoticQuery(q=3, L=2, alpha=0.1, beta=0.01)
 
-    def test_built_once_per_query(self):
-        # Every evaluation of an r_point asks for its query's map.
-        _level_map.cache_clear()
+    def test_built_once_per_query(self, monkeypatch):
+        # The grid, the refinement and every evaluation of an r_point read
+        # its query's one layout.
+        stages = []
+        for name in ("_grid_stage", "_refine"):
+            stage = getattr(asymptotic, name)
+            monkeypatch.setattr(asymptotic, name,
+                                lambda *args, stage=stage: stages.append(stage.__name__) or stage(*args))
+        _layout.cache_clear()
         r_point(self.QUERY)
-        assert _level_map.cache_info().misses == 1
+        assert stages == ["_grid_stage", "_refine"]
+        assert _layout.cache_info().misses == 1
 
     def test_read_only(self):
-        # The one map of a query is shared by every caller.
-        K, k = _level_map(self.QUERY)
-        with pytest.raises(ValueError):
-            K[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            k[0, 0] = 1.0
+        # The one layout of a query is shared by every caller.
+        layout = _layout(self.QUERY)
+        assert len(layout) == 6
+        for array in layout:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
 
 
 class TestGradient:
@@ -620,7 +653,7 @@ def test_beta_one_reaches_dense_search(q):
     # With L = 1 and beta = 1 the free vector is omega alone; refinement must
     # reach the best of a dense grid of it.
     query = AsymptoticQuery(q=q, L=1, alpha=1.0, beta=1.0)
-    omega = np.linspace(0.0, _upper(query)[0], 200_001)[:, None]
+    omega = np.linspace(0.0, _layout(query)[2][0], 200_001)[:, None]
     assert r_point(query).r >= _eval_candidate(query, omega)[0].max() - 1e-10
 
 
@@ -643,7 +676,7 @@ def test_witness_is_stationary(query, grid_points):
     point = r_point(query, grid_points=grid_points)
     x = _free_vector(query, point)
     _, grad = _value_and_grad(query, x)
-    upper = _upper(query)
+    upper = _layout(query)[2]
     inside = (x > 1e-6 * upper) & (x < (1.0 - 1e-6) * upper)
     assert inside.any()
     assert np.all(np.abs(grad[inside]) <= 1e-5), grad
@@ -694,7 +727,7 @@ def _unscreened(query, cand):
 def _assert_screen_exact(query, grid_points=None):
     axes, values, shape = _grid_stage(query, grid_points)
     cand = _candidates(axes)
-    assert cand.shape == (math.prod(shape), _upper(query).size)
+    assert cand.shape == (math.prod(shape), _layout(query)[2].size)
     assert np.array_equal(_coords(axes, np.arange(cand.shape[0])), cand)
     assert np.array_equal(values, _unscreened(query, cand))
 
@@ -890,24 +923,53 @@ class TestSweep:
         assert calls == [((query,), {"grid_points": 33}) for query in spec.queries]
 
     @pytest.mark.parametrize("alpha, message", [
-        (1.5, "alpha=1.5 outside [0, 1]"),
-        (1.0 + 2e-12, "alpha=1.000000000002 outside [0, 1]"),
-        (-0.1, "alpha=-0.1 outside [0, 1]"),
-        (0.0, "alpha grid values must lie in (0, 1]"),
-        (-1e-13, "alpha grid values must lie in (0, 1]"),
+        (-0.1, "alpha and beta must be nonnegative"),
+        (-1e-13, "alpha and beta must be nonnegative"),
+        (math.nan, "alpha=nan is not finite"),
+        (math.inf, "alpha=inf is not finite"),
+        (-math.inf, "alpha=-inf is not finite"),
     ])
-    def test_alpha_outside_unit_interval(self, alpha, message):
-        with pytest.raises(DomainError) as info:
-            SweepSpec(delta=0.1, alpha_grid=(0.05, alpha), q=3, L=2)
-        assert str(info.value) == message
+    def test_alpha_outside_query_domain(self, alpha, message):
+        # The query judges each alpha, wherever it sits in the grid.
+        for grid in ((alpha,), (0.05, alpha), (alpha, 0.05)):
+            with pytest.raises(DomainError) as info:
+                SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=2)
+            assert str(info.value) == message
+
+    # Each id names the refusal a sweep's own (0, 1] rule once gave this
+    # alpha; the query's domain [0, 1/q + L] takes it.
+    @pytest.mark.parametrize("alpha", [
+        pytest.param(0.0, id="0.0-alpha grid values must lie in (0, 1]"),
+        pytest.param(1.0 + 2e-12, id="1.000000000002-alpha=1.000000000002 outside [0, 1]"),
+        pytest.param(1.5, id="1.5-alpha=1.5 outside [0, 1]"),
+    ])
+    def test_alpha_outside_unit_interval(self, alpha):
+        spec = SweepSpec(delta=0.1, alpha_grid=(alpha,), q=3, L=2, grid_points=9)
+        assert spec.alpha_grid == (alpha,)
+        assert sweep(spec) == [r_point(AsymptoticQuery(3, 2, alpha, 0.1 * alpha), grid_points=9)]
 
     def test_alpha_within_rounding_of_one_is_one(self):
-        # A grid computed up to 1 may end at 1.0000000000000002; any alpha
-        # in (0, 1] keeps its bits.
+        # A grid computed up to 1 may end just above 1: every alpha keeps its
+        # bits, and the last row is alpha = 1's up to rounding.
         grid = (5e-324, 0.3, 1.0 - 2.0**-53, 1.0 + 1e-13)
         spec = SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=1)
-        assert spec.alpha_grid == grid[:3] + (1.0,)
-        assert (spec.queries[-1].alpha, spec.queries[-1].beta) == (1.0, 0.1)
+        assert spec.alpha_grid == grid
+        assert (spec.queries[-1].alpha, spec.queries[-1].beta) == (grid[-1], 0.1 * grid[-1])
+        one = r_point(AsymptoticQuery(q=3, L=1, alpha=1.0, beta=0.1))
+        assert r_point(spec.queries[-1]).r == pytest.approx(one.r, rel=0.0, abs=1e-9)
+
+    def test_alpha_takes_the_query_rule(self):
+        # alpha runs over [0, 1/q + L]: alphas past 1 sweep as r_point solves
+        # them, each keeps its bits, and an alpha past 1/q + L is an
+        # infeasible row that does not abort the sweep.
+        grid = (0.05, 1.0 + 1e-13, 1.2, 2.5)
+        spec = SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=2, grid_points=9)
+        assert spec.alpha_grid == grid
+        points = sweep(spec)
+        assert points == [r_point(AsymptoticQuery(3, 2, a, 0.1 * a), grid_points=9) for a in grid]
+        assert [p.alpha for p in points] == list(grid)
+        assert all(p.feasible and p.witness is not None for p in points[:-1])
+        assert points[-1].r == NEG_INF and points[-1].witness is None
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

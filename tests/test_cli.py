@@ -91,6 +91,16 @@ class TestAsymCommands:
         ])
         assert code == 2
 
+    def test_asym_point_past_the_domain_exit_2(self, capsys):
+        # alpha > 1/q + L and beta > L are infeasible, with no overflow on
+        # the way (RuntimeWarnings are errors).
+        code = run([
+            "asym-point", "--q", "3", "--L", "2", "--alpha", "1e308", "--beta", "1e308",
+            "--grid-points", "5",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "infeasible query: no admissible witness\n"
+
     def test_bad_split(self):
         code = run([
             "asym-point", "--q", "2", "--L", "2", "--alpha", "0.1", "--beta", "0.01",
@@ -178,6 +188,17 @@ class TestAsymCommands:
                     "--alpha-steps", "1", "--grid-points", "5"]) == 0
         rows = capsys.readouterr().out.splitlines()[2:]
         assert len(rows) == 1 and rows[0].startswith("0.05,0.005,")
+
+    def test_asym_sweep_alpha_from_zero_past_one(self, capsys):
+        # alpha takes the query's rule, [0, 1/q + L]: the rows are r_point's.
+        assert run(["asym-sweep", "--q", "3", "--L", "2", "--delta", "0.1", "--alpha-min", "0",
+                    "--alpha-max", "1.5", "--alpha-steps", "6", "--grid-points", "9"]) == 0
+        grid = rma_tse.cli._alpha_grid(0.0, 1.5, 6)
+        spec = SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=2, grid_points=9)
+        want = io.StringIO()
+        emit_sweep_csv(spec, [rma_tse.asymptotic.r_point(query, grid_points=9)
+                              for query in spec.queries], want)
+        assert capsys.readouterr().out == want.getvalue()
 
     def test_asym_sweep_ends_at_alpha_max_one(self, capsys):
         # The last grid point is 0.1 + 7 * (0.9 / 7) = 1.0000000000000002.
@@ -754,6 +775,18 @@ class TestConfigFile:
         cfg.write_text(key + "=1\n")
         assert run(["asym-sweep", "--config", str(cfg), "--delta", "0.1"]) == 1
         assert f"config key {key!r} names no flag of tse asym-sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, message", [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_config_without_known_command_exit_1(self, command, message, tmp_path, capsys):
+        # The config file belongs to a subcommand; argparse reports a missing
+        # or unknown one.
+        cfg = tmp_path / "tse.conf"
+        cfg.write_text("mode=log\n")
+        assert run(["--config", str(cfg)] + command) == 1
+        assert message in capsys.readouterr().err
 
     def test_config_without_path_exit_1(self, capsys):
         assert run(["acc", "--N", "1", "--ai", "0", "--ao", "0", "--b", "0", "--config"]) == 1

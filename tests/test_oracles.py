@@ -20,6 +20,7 @@ import rma_tse.oracles
 from rma_tse.acc import IotseTable, RangeError, ResourceLimitError, acc_iotse_table
 from rma_tse.ensemble import EnsembleConfig, ensemble_table
 from rma_tse.oracles import (
+    EXHAUSTIVE_N_MAX,
     ComparisonResult,
     FactorGraph,
     MembershipAssignment,
@@ -78,9 +79,11 @@ class TestExhaustiveAcc:
             assert exhaustive_acc(n).entries == trellis_dp(n).entries
 
     def test_range_error(self):
-        # Past its ceiling the oracle raises as every size ceiling does.
+        # Past its public ceiling the oracle raises as every size ceiling does.
+        assert EXHAUSTIVE_N_MAX == 12 and "EXHAUSTIVE_N_MAX" in rma_tse.oracles.__all__
         with pytest.raises(ResourceLimitError) as info:
-            exhaustive_acc(13)
+            exhaustive_acc(EXHAUSTIVE_N_MAX + 1)
+        assert type(info.value) is ResourceLimitError
         assert str(info.value) == "exhaustive enumeration capped at N=12, got 13"
 
 
