@@ -233,10 +233,11 @@ class SweepSpec:
     L, alpha, delta * alpha, split)`` per alpha of the grid as given, in grid
     order, whose own checks cover q, L, the split and each alpha (finite and
     nonnegative; ``r_point`` answers one past the query's domain as
-    infeasible); an empty grid has none.  The grid must be strictly
-    increasing.  ``grid_points`` holds the resolved points per axis of every
-    ``r_point`` coarse grid (``_grid_resolution``), also where it was given
-    as ``None``.
+    infeasible); an empty grid has none.  A finite alpha whose beta = delta
+    * alpha overflows is refused with both factors named.  The grid must be
+    strictly increasing.  ``grid_points`` holds the resolved points per
+    axis of every ``r_point`` coarse grid (``_grid_resolution``), also where
+    it was given as ``None``.
     """
 
     delta: float
@@ -251,7 +252,16 @@ class SweepSpec:
         if check_finite("delta", self.delta) < 0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
         grid = tuple(self.alpha_grid)
-        queries = tuple(AsymptoticQuery(self.q, self.L, a, self.delta * a, self.split) for a in grid)
+
+        def query(alpha: float) -> AsymptoticQuery:
+            beta = self.delta * alpha
+            if math.isfinite(alpha) and math.isinf(beta):
+                raise DomainError(
+                    f"beta = delta * alpha overflows at delta={self.delta!r}, alpha={alpha!r}"
+                )
+            return AsymptoticQuery(self.q, self.L, alpha, beta, self.split)
+
+        queries = tuple(map(query, grid))
         if any(y <= x for x, y in zip(grid, grid[1:])):
             raise DomainError("alpha grid must be strictly increasing")
         object.__setattr__(self, "alpha_grid", grid)

@@ -22,6 +22,14 @@ The moves of ``ensemble_tse``, ``conditional_tse`` and ``ensemble_iowe``
 visit only the support of the component count, the b of ``acc._b_range``
 for each (a_i, a_o), so no zero count is made or looked up.  The counts they
 use are kept per (value domain, N) for every later query at that N.
+
+An exact ``ensemble_table`` takes each level in two half-steps through the
+m of the class sum (``acc``): the factor B[d][m] * C[h][m] moves a state
+from its a_i to m, and A[a_o][m] from m to a_o.  It reads the factor rows
+of ``acc._factor_rows``, not ``acc_iotse_table``, and makes about half the
+moves of a pass over whole class counts, with the same integers.  A log
+table still passes over ``acc_iotse_table``'s counts: a log sum over m
+first would change bits.
 """
 
 from __future__ import annotations
@@ -31,10 +39,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .acc import (
-    _EXACT, _ROW_CACHE_SIZE, RangeError, _b_range, _check_n, _count, _Domain, _domain, _Memo,
-    acc_iotse_table,
+    _EXACT, _ROW_CACHE_SIZE, RangeError, _b_range, _check_n, _count, _Domain, _domain,
+    _factor_rows, _m_range, _Memo, acc_iotse_table,
 )
-from .combinatorics import ExactRatio, LogValue
+from .combinatorics import ExactRatio, LogValue, binomial
 
 __all__ = [
     "EnsembleConfig",
@@ -168,38 +176,45 @@ def _forward(
     config: EnsembleConfig,
     dom: _Domain,
     ws: Iterable[int],
-    moves: Callable[[int, tuple], Iterable[Tuple[int, int, object]]],
-    step: Callable[[tuple, int, int], tuple] = _by_class,
+    *half_steps: Tuple[Callable[[int, tuple], Iterable[Tuple[int, int, object]]],
+                       Callable[[tuple, int, int], tuple]],
 ) -> Dict[tuple, object]:
     """One sum-product pass over the levels; returns the final states.
 
     The pass starts at the states (q*w, w, 0, w) with weight C(K, w), one per
-    information weight w in ``ws``.  At each level a state takes every move
-    (a_o, b_l, nonzero component count) of ``moves(level, key)``, which
-    lists the support only (``_support_moves``),
-    times the placement factor of its input count, and the terms reaching
-    the same ``step`` key are summed.  Values stay scaled by N! per level.
+    information weight w in ``ws``.  Each level takes the ``half_steps`` in
+    order, each a pair (moves, step): a state takes every move (x, y,
+    nonzero weight) of ``moves(level, key)``, and the terms reaching the
+    same ``step(key, x, y)`` are summed.  The first half-step of a level
+    also multiplies each state by the placement factor of its input count
+    key[0].  The class queries and a log table take one half-step a level,
+    whose moves (a_o, b_l, component count) list the support only; an exact
+    table takes two, through the m of the class sum (``_split_level``).
+    Values stay scaled by N! per level.
 
     Exact terms are added into a running sum per state as they arrive:
     integer addition is exact in any order, so memory stays O(states).  Log
     terms are collected per state and summed by ``log_sum_exp`` after the
-    level, which takes the peak first; a running log-add would change bits.
+    half-step, which takes the peak first; a running log-add would change
+    bits.
     """
     N, mul, place = config.N, dom.mul, dom.place
     exact = dom is _EXACT
     state = {(config.q * w, w, 0, w): dom.binom(config.K, w) for w in ws}
     for level in range(config.L):
-        nxt: Dict[tuple, object] = {}
-        for key, value in state.items():
-            value = mul(value, place(N, key[0]))
-            if exact:
-                for a_o, b_l, cnt in moves(level, key):
-                    k = step(key, a_o, b_l)
-                    nxt[k] = nxt.get(k, 0) + value * cnt
-            else:
-                for a_o, b_l, cnt in moves(level, key):
-                    nxt.setdefault(step(key, a_o, b_l), []).append(mul(value, cnt))
-        state = nxt if exact else {key: dom.total(terms) for key, terms in nxt.items()}
+        for i, (moves, step) in enumerate(half_steps):
+            nxt: Dict[tuple, object] = {}
+            for key, value in state.items():
+                if i == 0:
+                    value = mul(value, place(N, key[0]))
+                if exact:
+                    for x, y, cnt in moves(level, key):
+                        k = step(key, x, y)
+                        nxt[k] = nxt.get(k, 0) + value * cnt
+                else:
+                    for x, y, cnt in moves(level, key):
+                        nxt.setdefault(step(key, x, y), []).append(mul(value, cnt))
+            state = nxt if exact else {key: dom.total(terms) for key, terms in nxt.items()}
     return state
 
 
@@ -228,7 +243,7 @@ def conditional_tse(
     def moves(level: int, key: tuple):
         return pair(key[0], *profile.levels[level])
 
-    state = _forward(config, dom, [profile.w], moves)
+    state = _forward(config, dom, [profile.w], (moves, _by_class))
     return dom.finish(dom.total(state.values()), N, config.L)
 
 
@@ -256,7 +271,7 @@ def ensemble_tse(
         return span(a_i, range(min(a_rem, N - 1) + 1), b_rem)
 
     state = _forward(
-        config, dom, range(min(config.K, cls.a) + 1), moves, _by_path if breakdown else _by_class
+        config, dom, range(min(config.K, cls.a) + 1), (moves, _by_path if breakdown else _by_class)
     )
     value = dom.finish(dom.total(state.values()), N, L)
     if not breakdown:
@@ -268,6 +283,48 @@ def ensemble_tse(
     return TseResult(value=value, breakdown=pairs)
 
 
+def _into_m(key: tuple, m: int, b_l: int) -> tuple:
+    # (a_i, a, b) -> (m, a, b + b_l): the mid-state of a split level.
+    return (m, key[1], key[2] + b_l)
+
+
+def _out_of_m(key: tuple, a_i: int, a_o: int) -> tuple:
+    # (m, a, b) -> (a_i, a + a_o, b), a_i the next level's input count.
+    return (a_i, key[1] + a_o, key[2])
+
+
+def _split_level(N: int, L: int) -> tuple:
+    """The two half-steps of an exact table level, through the m of the class sum.
+
+    A class count is sum_m A[a_o][m] * B[d][m] * C[h][m] (``acc``), and only
+    the A factor depends on a_o.  So a state (a_i, a, b) first moves to
+    (m, a, b + b_l) with weight B[d][m] * C[h][m], and the mid-state then
+    moves to (a_o, a + a_o, b + b_l) with weight A[a_o][m], for
+    m <= min(a_o, N - a_o); a_o = 0 rides along as m = 0, with weight
+    C(N, a_i), b_l = a_i and A = 1.  The mid-state forgets a_i, so a level
+    takes about half the moves, and every term of each class sum is still
+    made once, so every integer is unchanged.  At the last level no later
+    level reads a_o, so the final states are keyed (0, a, b).
+    """
+    by_ao, by_d, by_h = _factor_rows(_EXACT.binom, _EXACT.mul, N)
+    to_m = []  # (m, b_l, B[d][m] * C[h][m]) by a_i
+    for a_i in range(N + 1):
+        moves = [(0, a_i, binomial(N, a_i))]
+        for b_l in range(a_i % 2, N + 1, 2):
+            h, d = (a_i + b_l) // 2, (a_i - b_l) // 2
+            moves += [(m, b_l, by_d[d][m] * by_h[h][m]) for m in _m_range(N, d, h, N)]
+        to_m.append(moves)
+    # (next a_i = a_o, a_o, A[a_o][m]) by m; a_o = N never occurs (termination).
+    from_m = [[(0, 0, 1)]] + [
+        [(a_o, a_o, by_ao[a_o][m]) for a_o in range(m, N - m + 1)] for m in range(1, N // 2 + 1)
+    ]
+    last = [[(0, a_o, cnt) for _, a_o, cnt in moves] for moves in from_m]
+    return (
+        (lambda level, key: to_m[key[0]], _into_m),
+        (lambda level, key: (last if level == L - 1 else from_m)[key[0]], _out_of_m),
+    )
+
+
 def ensemble_table(
     config: EnsembleConfig, mode: str = "exact"
 ) -> Dict[Tuple[int, int], Value]:
@@ -277,15 +334,17 @@ def ensemble_table(
     """
     dom = _domain_within(config, mode, EXACT_TABLE_N_MAX)
     N = config.N
-    rows: Dict[int, list] = {}  # every nonzero class of the component, by a_i
-    for (a_i, a_o, b_l), cnt in acc_iotse_table(N, mode).entries.items():
-        rows.setdefault(a_i, []).append((a_o, b_l, cnt))
+    if dom is _EXACT:
+        half_steps = _split_level(N, config.L)
+    else:
+        rows: Dict[int, list] = {}  # every nonzero class of the component, by a_i
+        for (a_i, a_o, b_l), cnt in acc_iotse_table(N, mode).entries.items():
+            rows.setdefault(a_i, []).append((a_o, b_l, cnt))
+        half_steps = ((lambda level, key: rows.get(key[0], ()), _by_class),)
 
-    def moves(level: int, key: tuple):
-        return rows.get(key[0], ())
-
-    by_class: Dict[Tuple[int, int], list] = {}  # merged over the last level's a_o
-    for key, value in _forward(config, dom, range(config.K + 1), moves).items():
+    # A class's final states: one per last a_o in log mode, one in exact mode.
+    by_class: Dict[Tuple[int, int], list] = {}
+    for key, value in _forward(config, dom, range(config.K + 1), *half_steps).items():
         by_class.setdefault(key[1:3], []).append(value)
     return {k: dom.finish(dom.total(v), N, config.L) for k, v in sorted(by_class.items())}
 
@@ -306,5 +365,5 @@ def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:
         return pair(key[0], d, 0) if level == last else span(key[0], range(N), 0)
 
     # States merge by input count alone: the class (a, b) is not asked for.
-    state = _forward(config, dom, range(config.K + 1), moves, lambda k, a_o, b_l: (a_o, 0, 0))
+    state = _forward(config, dom, range(config.K + 1), (moves, lambda k, a_o, b_l: (a_o, 0, 0)))
     return dom.finish(dom.total(state.values()), N, config.L)

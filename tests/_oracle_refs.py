@@ -14,7 +14,9 @@ terminated final node, tested at each of a check's three neighbours.
 ``box_*`` are the ensemble queries with their full move sets: every
 (a_o, b_l) of the class box is counted and the zero counts are dropped.
 ``rma_tse.ensemble`` visits only the support of the component count; the
-tests hold it to these bit for bit.  Nothing here is imported by the package.
+tests hold it to these bit for bit.  ``table_by_rows`` is the ensemble table
+with one move per whole class count, which the split exact levels must equal.
+Nothing here is imported by the package.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rma_tse.acc import _count, _domain
+from rma_tse.acc import _count, _domain, acc_iotse_table
 from rma_tse.ensemble import ConditionalProfile, _by_class, _by_path, _forward
 
 
@@ -126,8 +128,8 @@ def box_tse(config, cls, mode, breakdown=False):
         return [(a_o, b_l) for a_o in range(min(a_rem, N - 1) + 1)
                 for b_l in range(a_i % 2, min(b_rem, N) + 1, 2)]
 
-    state = _forward(config, dom, range(min(config.K, cls.a) + 1), _box_moves(dom, N, moves),
-                     _by_path if breakdown else _by_class)
+    state = _forward(config, dom, range(min(config.K, cls.a) + 1),
+                     (_box_moves(dom, N, moves), _by_path if breakdown else _by_class))
     value = dom.finish(dom.total(state.values()), N, L)
     if not breakdown:
         return value, None
@@ -139,7 +141,8 @@ def box_conditional(config, profile, mode):
     """``conditional_tse``: the profile's own pair at each level."""
     dom = _domain(mode)
     state = _forward(config, dom, [profile.w],
-                     _box_moves(dom, config.N, lambda level, key: [profile.levels[level]]))
+                     (_box_moves(dom, config.N, lambda level, key: [profile.levels[level]]),
+                      _by_class))
     return dom.finish(dom.total(state.values()), config.N, config.L)
 
 
@@ -150,6 +153,25 @@ def box_iowe(config, d, mode):
     def moves(level, key):
         return [(d, 0)] if level == config.L - 1 else [(a_o, 0) for a_o in range(N)]
 
-    state = _forward(config, dom, range(config.K + 1), _box_moves(dom, N, moves),
-                     lambda k, a_o, b_l: (a_o, 0, 0))
+    state = _forward(config, dom, range(config.K + 1),
+                     (_box_moves(dom, N, moves), lambda k, a_o, b_l: (a_o, 0, 0)))
     return dom.finish(dom.total(state.values()), N, config.L)
+
+
+def table_by_rows(config, mode):
+    """``ensemble_table`` as one pass over whole class counts per level.
+
+    Each state (a_i, a, b) takes every nonzero class (a_i, a_o, b_l) of
+    ``acc_iotse_table`` in a single move, as the table was built before its
+    exact levels were split at m; the log table is still built this way.
+    """
+    dom, N = _domain(mode), config.N
+    rows = {}
+    for (a_i, a_o, b_l), cnt in acc_iotse_table(N, mode).entries.items():
+        rows.setdefault(a_i, []).append((a_o, b_l, cnt))
+    by_class = {}
+    state = _forward(config, dom, range(config.K + 1),
+                     (lambda level, key: rows.get(key[0], ()), _by_class))
+    for key, value in state.items():
+        by_class.setdefault(key[1:3], []).append(value)
+    return {k: dom.finish(dom.total(v), N, config.L) for k, v in sorted(by_class.items())}

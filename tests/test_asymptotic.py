@@ -936,6 +936,18 @@ class TestSweep:
                 SweepSpec(delta=0.1, alpha_grid=grid, q=3, L=2)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("grid", [(2.0,), (0.5, 2.0), (2.0, math.nan)])
+    def test_overflowing_beta_names_delta_and_alpha(self, grid):
+        # 1e308 * 2.0 overflows; the message names what was typed, not beta=inf.
+        with pytest.raises(DomainError) as info:
+            SweepSpec(delta=1e308, alpha_grid=grid, q=3, L=2)
+        assert str(info.value) == "beta = delta * alpha overflows at delta=1e+308, alpha=2.0"
+
+    def test_infinite_alpha_is_named_before_beta(self):
+        with pytest.raises(DomainError) as info:
+            SweepSpec(delta=1e308, alpha_grid=(0.5, math.inf), q=3, L=2)
+        assert str(info.value) == "alpha=inf is not finite"
+
     # Each id names the refusal a sweep's own (0, 1] rule once gave this
     # alpha; the query's domain [0, 1/q + L] takes it.
     @pytest.mark.parametrize("alpha", [

@@ -200,6 +200,15 @@ class TestAsymCommands:
                               for query in spec.queries], want)
         assert capsys.readouterr().out == want.getvalue()
 
+    def test_asym_sweep_overflowing_beta_exit_1(self, capsys):
+        assert run(["asym-sweep", "--delta", "1e308", "--alpha-min", "0.5", "--alpha-max", "2",
+                    "--alpha-steps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: beta = delta * alpha overflows at delta=1e+308, alpha=2.0\n"
+        )
+
     def test_asym_sweep_ends_at_alpha_max_one(self, capsys):
         # The last grid point is 0.1 + 7 * (0.9 / 7) = 1.0000000000000002.
         assert run(["asym-sweep", "--q", "3", "--L", "1", "--delta", "0.1", "--alpha-min", "0.1",

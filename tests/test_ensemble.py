@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from _oracle_refs import box_conditional, box_iowe, box_tse
+from _oracle_refs import box_conditional, box_iowe, box_tse, table_by_rows
 
 import rma_tse.acc
 import rma_tse.ensemble
@@ -181,9 +181,41 @@ class TestEnsembleTable:
             ensemble_table(EnsembleConfig(q=2, K=40, L=1))
         assert str(info.value) == "exact-mode ensemble capped at N=64, got 80"
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_split_levels_match_whole_class_moves(self, q, L):
+        # Odd N included: q=1 at K=5, q=3 at K=3.
+        for K in range(1, 7):
+            if q * K <= 12:
+                cfg = EnsembleConfig(q=q, K=K, L=L)
+                expect = table_by_rows(cfg, "exact")
+                assert list(ensemble_table(cfg).items()) == list(expect.items())
+
+    def test_exact_table_reads_only_factor_rows(self, monkeypatch):
+        expect = {cfg: table_by_rows(cfg, "exact") for cfg in (CFG_L2, EnsembleConfig(1, 5, 3))}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact ensemble_table built acc_iotse_table")
+
+        monkeypatch.setattr(rma_tse.ensemble, "acc_iotse_table", refuse)
+        monkeypatch.setattr(rma_tse.acc, "acc_iotse_table", refuse)
+        for cfg, table in expect.items():
+            assert list(ensemble_table(cfg).items()) == list(table.items())
+        with pytest.raises(AssertionError, match="built acc_iotse_table"):
+            ensemble_table(CFG_L2, "log")
+
+    @pytest.mark.parametrize("cfg", [CFG_L2, EnsembleConfig(1, 5, 3), EnsembleConfig(3, 3, 2),
+                                     EnsembleConfig(2, 5, 2)])
+    def test_log_table_is_whole_class_moves(self, cfg):
+        expect = table_by_rows(cfg, "log")
+        assert [(k, bits(v)) for k, v in ensemble_table(cfg, "log").items()] == [
+            (k, bits(v)) for k, v in expect.items()
+        ]
+
     def test_exact_table_memory(self):
         # Measured (tracemalloc peak): 43.6 MiB when each state kept a list of
-        # its big-int terms, 6.0 MiB with one running sum per state.
+        # its big-int terms, 6.0 MiB with one running sum per state, 2.7 MiB
+        # with each level split at m and the last level keyed by class.
         tracemalloc.start()
         try:
             ensemble_table(EnsembleConfig(q=2, K=12, L=2))
