@@ -36,7 +36,9 @@ binomials above, so exact counts and log values are unchanged.  A single
 class at a large N still makes no more entries than it has terms.  A full
 table, in either domain, makes the product row B[d] * C[h] of each (a_i, b)
 once and shares it across every a_o: the same terms in the same order as
-the single-class sum, so its entries equal ``acc_iotse`` bit for bit.  At most
+the single-class sum, so its entries equal ``acc_iotse`` bit for bit.  The
+class queries of ``ensemble`` make their counts from the same rows
+(``_class_rows``).  At most
 ``_ROW_CACHE_SIZE`` (domain, N) pairs are kept, the least recently used
 leaving first.
 """
@@ -317,26 +319,49 @@ def acc_iowe(N: int, w: int, d: int) -> BigCount:
     return binomial(N - d, w // 2) * binomial(d - 1, w // 2 - 1)
 
 
+def _class_rows(dom: _Domain, N: int) -> Tuple[Callable[[int], list], Callable[[int, int], tuple]]:
+    """``a_row(a_o)`` and ``bc_row(a_i, b)``: the rows a class count of block length N sums.
+
+    ``a_row(a_o)[m]`` is A[a_o][m] for m <= min(a_o, N - a_o).  ``bc_row(a_i, b)``
+    is (lo, bc) with bc[m - lo] = B[d][m] * C[h][m] for every m with B and C
+    nonzero, lo = max(1, |d|).  Only B * C depends on (a_i, b), so callers
+    make it once and share it across every a_o.  For 0 < a_o < N and
+    lo <= min(a_o, N - a_o), the count of (a_i, a_o, b) is then
+
+        dom.total(map(dom.mul, a_row(a_o)[lo:], bc)),
+
+    the terms of ``_count`` in its order and grouping A * (B * C), so the
+    value is ``acc_iotse``'s bit for bit (map stops at the shorter row).
+    """
+    mul = dom.mul
+    by_ao, by_d, by_h = _factor_rows(dom.binom, mul, N)
+
+    def a_row(a_o: int) -> list:
+        return list(map(by_ao[a_o].__getitem__, range(min(a_o, N - a_o) + 1)))
+
+    def bc_row(a_i: int, b: int) -> tuple:
+        h, d = (a_i + b) // 2, (a_i - b) // 2
+        ms = _m_range(N, d, h, N)
+        return ms.start, list(map(mul, map(by_d[d].__getitem__, ms), map(by_h[h].__getitem__, ms)))
+
+    return a_row, bc_row
+
+
 def acc_iotse_table(N: int, mode: str = "exact") -> IotseTable:
     """Tabulate every nonzero class count of block length N."""
     dom = _domain(mode)
     _check_n(N, EXACT_TABLE_N_MAX, f"{mode} table")
     mul, total = dom.mul, dom.total
-    by_ao, by_d, by_h = _factor_rows(dom.binom, mul, N)
-    # A[a_o][m] for m <= min(a_o, N - a_o); a_o = N never occurs (termination).
-    A = [list(map(by_ao[a_o].__getitem__, range(min(a_o, N - a_o) + 1))) for a_o in range(N)]
+    a_row, bc_row = _class_rows(dom, N)
+    A = [a_row(a_o) for a_o in range(N)]  # a_o = N never occurs (termination)
     entries: Dict[Tuple[int, int, int], Union[BigCount, LogValue]] = {}
     for a_i in range(N + 1):
         entries[(a_i, 0, a_i)] = dom.binom(N, a_i)  # a_o = 0: see _count
-        # (b, lo, bc) with bc[m - lo] = B[d][m] * C[h][m], one per (d, h) and
-        # shared by every a_o; a_i + b must be even.
-        rows = []
+        rows = []  # (b, lo, bc) of every b with a_i + b even and a nonempty B * C row
         for b in range(a_i % 2, N + 1, 2):
-            h, d = (a_i + b) // 2, (a_i - b) // 2
-            ms = _m_range(N, d, h, N)
-            if ms:
-                bc = list(map(mul, map(by_d[d].__getitem__, ms), map(by_h[h].__getitem__, ms)))
-                rows.append((b, ms.start, bc))
+            lo, bc = bc_row(a_i, b)
+            if bc:
+                rows.append((b, lo, bc))
         for a_o in range(1, N):
             A_row, cap = A[a_o], min(a_o, N - a_o)
             for b, lo, bc in rows:

@@ -92,14 +92,18 @@ def log_sum_exp(terms: Iterable[LogValue]) -> LogValue:
     order, which fixes the result bit-for-bit for identical inputs.  The add
     stays a plain loop: builtin ``sum()`` compensates float sums since
     CPython 3.12 and numpy dispatches SIMD exp/log kernels, so either would
-    make the log bits depend on the interpreter or the CPU.
+    make the log bits depend on the interpreter or the CPU.  One term v
+    returns v + 0.0, which is the loop's peak + log(exp(0)), bit for bit.
+    An infinite peak is the sum: ``+inf`` does not become ``nan``.
     """
     values = list(terms)
+    if len(values) == 1:
+        return values[0] + 0.0
     if not values:
         return NEG_INF
     peak = max(values)
-    if peak == NEG_INF:
-        return NEG_INF
+    if math.isinf(peak):
+        return peak
     acc = 0.0
     for v in values:
         acc += math.exp(v - peak)

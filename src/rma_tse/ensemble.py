@@ -20,8 +20,12 @@ scaled by a_i!(N - a_i)! = N!/C(N, a_i) per level and divides each output by
 
 The moves of ``ensemble_tse``, ``conditional_tse`` and ``ensemble_iowe``
 visit only the support of the component count, the b of ``acc._b_range``
-for each (a_i, a_o), so no zero count is made or looked up.  The counts they
-use are kept per (value domain, N) for every later query at that N.
+for each (a_i, a_o), so no zero count is made or looked up.  They make each
+count as ``acc_iotse_table`` makes its entries, from rows of
+``acc._class_rows``: each a_o's A row and each (a_i, b)'s B * C row is made
+once and shared, and every count equals ``acc_iotse`` bit for bit.  Counts
+and rows are kept per (value domain, N), in one bounded cache, for every
+later query at that N.
 
 An exact ``ensemble_table`` takes each level in two half-steps through the
 m of the class sum (``acc``): the factor B[d][m] * C[h][m] moves a state
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .acc import (
-    _EXACT, _ROW_CACHE_SIZE, RangeError, _b_range, _check_n, _count, _Domain, _domain,
+    _EXACT, _ROW_CACHE_SIZE, RangeError, _b_range, _check_n, _class_rows, _Domain, _domain,
     _factor_rows, _m_range, _Memo, acc_iotse_table,
 )
 from .combinatorics import ExactRatio, LogValue, binomial
@@ -146,28 +150,52 @@ def _by_path(key: tuple, a_o: int, b_l: int) -> tuple:
 
 @functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _support_moves(dom: _Domain, N: int) -> Tuple[Callable[..., list], Callable[..., list]]:
-    """``span(a_i, a_os, b_max)`` and ``pair(a_i, a_o, b)``: the moves
+    """``span(a_i, a_o_max, b_max)`` and ``pair(a_i, a_o, b)``: the moves
     (a_o, b_l, count) from a_i with a nonzero component count.
 
-    ``span`` takes every b_l <= b_max of each a_o of ``a_os``, a_o then b_l
+    ``span`` takes every b_l <= b_max of each a_o <= a_o_max, a_o then b_l
     ascending; ``pair`` takes (a_o, b) alone.  Only the support
-    ``_b_range`` is visited, so no zero count is made or looked up.  Each
-    count is made on first use and kept for every later query at the same
-    (value domain, N); like ``acc._factor_rows``, at most ``_ROW_CACHE_SIZE``
-    such pairs stay cached.
+    ``_b_range`` is visited, so no zero count is made or looked up.  A count
+    is made on first use from the rows of ``acc._class_rows``: each a_o's A
+    row and each (a_i, b)'s B * C row is made once and shared, as
+    ``acc_iotse_table`` shares them, so every count equals ``acc_iotse`` bit
+    for bit.  Counts and rows are kept for every later query at the same
+    (value domain, N); like ``acc._factor_rows``, at most
+    ``_ROW_CACHE_SIZE`` such pairs stay cached.
     """
-    counts = _Memo(lambda key: _count(dom, N, *key))
+    mul, total = dom.mul, dom.total
+    a_row, bc_row = _class_rows(dom, N)
+    A, BC = _Memo(a_row), _Memo(lambda key: bc_row(*key))
 
-    def span(a_i: int, a_os: Iterable[int], b_max: int) -> list:
+    def count(key: tuple):
+        a_i, a_o, b = key
+        if a_o == 0:
+            return dom.binom(N, a_i)  # b = a_i, the only b of the support
+        lo, bc = BC[a_i, b]
+        return total(map(mul, A[a_o][lo:], bc))
+
+    counts = _Memo(count)
+
+    def span(a_i: int, a_o_max: int, b_max: int) -> list:
+        # b >= a_i - 2 min(a_o, N - a_o) on the support, so no b <= b_max
+        # exists for a_o below lo or above N - lo.
+        lo = max(0, (a_i - b_max + 1) // 2)
         out = []
-        for a_o in a_os:
+        for a_o in range(lo, min(a_o_max, N - lo) + 1):
             bs = _b_range(N, a_i, a_o)
             bs = range(bs.start, min(bs.stop, b_max + 1), 2)
             out += [(a_o, b, counts[a_i, a_o, b]) for b in bs]
         return out
 
     def pair(a_i: int, a_o: int, b: int) -> list:
-        return [(a_o, b, counts[a_i, a_o, b])] if b in _b_range(N, a_i, a_o) else []
+        # b in _b_range(N, a_i, a_o), tested without making the range: for
+        # a_o > 0, a_i + b even and _m_range(N, d, h, min(a_o, N - a_o)) not empty.
+        if a_o == 0:
+            on = b == a_i
+        else:
+            h, d = (a_i + b) // 2, abs(a_i - b) // 2
+            on = (a_i + b) % 2 == 0 and max(1, d) <= min(a_o, N - a_o, h, N - h)
+        return [(a_o, b, counts[a_i, a_o, b])] if on else []
 
     return span, pair
 
@@ -268,7 +296,7 @@ def ensemble_tse(
         a_i, a_rem, b_rem = key[0], cls.a - key[1], cls.b - key[2]
         if level == L - 1:
             return pair(a_i, a_rem, b_rem) if a_rem < N else []
-        return span(a_i, range(min(a_rem, N - 1) + 1), b_rem)
+        return span(a_i, min(a_rem, N - 1), b_rem)
 
     state = _forward(
         config, dom, range(min(config.K, cls.a) + 1), (moves, _by_path if breakdown else _by_class)
@@ -362,7 +390,7 @@ def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:
     span, pair = _support_moves(dom, N)
 
     def moves(level: int, key: tuple):
-        return pair(key[0], d, 0) if level == last else span(key[0], range(N), 0)
+        return pair(key[0], d, 0) if level == last else span(key[0], N - 1, 0)
 
     # States merge by input count alone: the class (a, b) is not asked for.
     state = _forward(config, dom, range(config.K + 1), (moves, lambda k, a_o, b_l: (a_o, 0, 0)))

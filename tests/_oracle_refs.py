@@ -16,6 +16,9 @@ terminated final node, tested at each of a check's three neighbours.
 ``rma_tse.ensemble`` visits only the support of the component count; the
 tests hold it to these bit for bit.  ``table_by_rows`` is the ensemble table
 with one move per whole class count, which the split exact levels must equal.
+``support_span`` and ``support_pair`` are the support moves as a loop over
+every a_o with one ``_b_range`` and one ``_count`` per class, which the
+shared-row counts and the hoisted a_o bound must equal.
 Nothing here is imported by the package.
 """
 
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rma_tse.acc import _count, _domain, acc_iotse_table
+from rma_tse.acc import _b_range, _count, _domain, acc_iotse_table
 from rma_tse.ensemble import ConditionalProfile, _by_class, _by_path, _forward
 
 
@@ -107,6 +110,21 @@ def graph_average(config):
             key = (mask.bit_count(), sum((mask & cm).bit_count() & 1 for cm in cms))
             tally[key] = tally.get(key, 0) + 1
     return {k: Fraction(v, n_tuples) for k, v in sorted(tally.items())}
+
+
+def support_span(dom, N, a_i, a_os, b_max):
+    """``span``'s moves: every b_l <= b_max of each a_o of ``a_os``, a_o then b_l ascending."""
+    out = []
+    for a_o in a_os:
+        bs = _b_range(N, a_i, a_o)
+        bs = range(bs.start, min(bs.stop, b_max + 1), 2)
+        out += [(a_o, b, _count(dom, N, a_i, a_o, b)) for b in bs]
+    return out
+
+
+def support_pair(dom, N, a_i, a_o, b):
+    """``pair``'s move: (a_o, b) alone, if it is on the support."""
+    return [(a_o, b, _count(dom, N, a_i, a_o, b))] if b in _b_range(N, a_i, a_o) else []
 
 
 def _box_moves(dom, N, moves):

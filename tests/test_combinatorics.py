@@ -104,6 +104,16 @@ class TestLogSumExp:
     def test_all_neg_inf(self):
         assert log_sum_exp([NEG_INF, NEG_INF]) == NEG_INF
 
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1e308, -1e308, -745.2, math.nan, NEG_INF])
+    def test_one_term_is_the_loop_bit_for_bit(self, v):
+        # The loop over one term: peak + log(exp(v - peak)), NEG_INF at a NEG_INF peak.
+        loop = NEG_INF if v == NEG_INF else v + math.log(math.exp(v - v))
+        assert log_sum_exp([v]).hex() == loop.hex()
+
+    @pytest.mark.parametrize("terms", [[math.inf], [math.inf, 0.0], [0.0, math.inf, NEG_INF]])
+    def test_inf_peak_is_inf(self, terms):
+        assert log_sum_exp(terms) == math.inf
+
     def test_against_exact_rational_sum(self):
         # 1000 random positive rationals; oracle is the exact Fraction sum.
         import random

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,11 +6,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from _oracle_refs import box_conditional, box_iowe, box_tse, table_by_rows
+from _oracle_refs import (
+    box_conditional, box_iowe, box_tse, support_pair, support_span, table_by_rows,
+)
 
 import rma_tse.acc
 import rma_tse.ensemble
-from rma_tse.acc import RangeError, ResourceLimitError
+from rma_tse.acc import AccTriple, RangeError, ResourceLimitError, acc_iotse, acc_iotse_table
 from rma_tse.combinatorics import binomial
 from rma_tse.ensemble import (
     ConditionalProfile,
@@ -364,6 +367,42 @@ class TestSupportMoves:
                     if lv[0] < N:
                         self.check_class(cfg, TrappingSetClass(a_i + lv[0], lv[1]), mode)
 
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 24])
+    def test_counts_are_acc_counts(self, N, mode):
+        # Every support count, made from shared rows by a fresh memo, in the
+        # table's own order: the table's entries and acc_iotse's, bit for bit.
+        dom = rma_tse.acc._domain(mode)
+        span, pair = rma_tse.ensemble._support_moves.__wrapped__(dom, N)
+        moves = [((a_i, a_o, b), bits(cnt)) for a_i in range(N + 1)
+                 for a_o, b, cnt in span(a_i, N - 1, N)]
+        table = acc_iotse_table(N, mode).entries
+        assert moves == [(key, bits(cnt)) for key, cnt in table.items()]
+        for key, cnt in moves:
+            assert bits(acc_iotse(AccTriple(N, *key), mode)) == cnt
+            assert [(a_o, b, bits(c)) for a_o, b, c in pair(*key)] == [key[1:] + (cnt,)]
+
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 13])
+    def test_hoisted_span_and_pair_are_the_reference_loops(self, N, mode):
+        # span's a_o ranges: ensemble_tse's 0..min(a_rem, N - 1), ensemble_iowe's
+        # 0..N - 1 with b_max = 0; b_max past N as a class's remaining b can be.
+        dom = rma_tse.acc._domain(mode)
+        span, pair = rma_tse.ensemble._support_moves.__wrapped__(dom, N)
+
+        def move_bits(moves):
+            return [(a_o, b, bits(cnt)) for a_o, b, cnt in moves]
+
+        for a_i in range(N + 1):
+            for b_max in [*range(N + 1), 2 * N + 1]:
+                for a_o_max in range(N):
+                    expect = support_span(dom, N, a_i, range(a_o_max + 1), b_max)
+                    assert move_bits(span(a_i, a_o_max, b_max)) == move_bits(expect)
+            for a_o in range(N + 1):
+                for b in range(2 * N + 2):
+                    expect = support_pair(dom, N, a_i, a_o, b)
+                    assert move_bits(pair(a_i, a_o, b)) == move_bits(expect)
+
     def test_count_memo_is_bounded(self):
         size = rma_tse.acc._ROW_CACHE_SIZE
         for K in range(1, size + 3):
@@ -371,3 +410,28 @@ class TestSupportMoves:
                 ensemble_tse(EnsembleConfig(q=1, K=K, L=2), TrappingSetClass(K, 1), mode)
         info = rma_tse.ensemble._support_moves.cache_info()
         assert 0 < info.currsize <= info.maxsize == size
+
+
+class TestClassQueryPins:
+    """Log class-query values, which the benchmark checks only to 1e-8, pinned by repr."""
+
+    @pytest.mark.parametrize("cfg, cls, value", [
+        ((3, 64, 2), (96, 19), "77.87436928780197"),
+        ((3, 48, 2), (72, 14), "56.28235688806266"),
+    ])
+    def test_ensemble_tse(self, cfg, cls, value):
+        res = ensemble_tse(EnsembleConfig(*cfg), TrappingSetClass(*cls), "log")
+        assert repr(res.value) == value
+
+    def test_l3_breakdown(self):
+        res = ensemble_tse(EnsembleConfig(3, 32, 3), TrappingSetClass(37, 6), "log", breakdown=True)
+        assert repr(res.value) == "18.307059347981205"
+        assert len(res.breakdown) == 4900
+        profiles = repr([(p.w, p.levels, v.hex()) for p, v in res.breakdown]).encode()
+        assert hashlib.sha256(profiles).hexdigest() == (
+            "c75bc55e2f643a99dfecb0be82d540405110751f5da6da4a487a139aa11d0d67"
+        )
+
+    @pytest.mark.parametrize("d, value", [(64, "41.00654169045084"), (100, "19.762512114738335")])
+    def test_ensemble_iowe(self, d, value):
+        assert repr(ensemble_iowe(EnsembleConfig(2, 64, 2), d, "log")) == value
