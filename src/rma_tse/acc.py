@@ -263,8 +263,10 @@ def _m_range(N: int, d: int, h: int, cap: int) -> range:
 def _b_range(N: int, a_i: int, a_o: int) -> range:
     """The b with a nonzero count of class (a_i, a_o, b), in steps of 2.
 
-    For 0 < a_o < N this is where ``_m_range`` is not empty: a_i + b even,
-    |a_i - b| <= 2 min(a_o, N - a_o) and 2 <= a_i + b <= 2N - 2.
+    Precondition: 0 <= a_i <= N, as every caller's input count is.  Then for
+    0 < a_o < N this is where ``_m_range`` is not empty: a_i + b even,
+    |a_i - b| <= 2 min(a_o, N - a_o) and 2 <= a_i + b <= 2N - 2.  Past N it
+    is not: ``_b_range(4, 5, 2)`` holds b = 1, whose count is zero.
     """
     if a_o == 0:
         return range(a_i, a_i + 1)

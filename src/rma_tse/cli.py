@@ -103,9 +103,13 @@ def emit_sweep_csv(spec: SweepSpec, points: Iterable[AsymptoticPoint], destinati
 
 
 def _value_str(value) -> str:
+    # Log-mode tables carry ln values; their exact type test is cheaper than
+    # the isinstance check (Fraction's is an ABC's).
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (int, Fraction)):
         return str(value)  # "5" or "2/3"
-    return repr(float(value))  # log-mode tables carry ln values
+    return repr(float(value))
 
 
 # One entry of a table's JSON: a key of ints and a value string.

@@ -27,24 +27,25 @@ once and shared, and every count equals ``acc_iotse`` bit for bit.  Counts
 and rows are kept per (value domain, N), in one bounded cache, for every
 later query at that N.
 
-An exact ``ensemble_table`` takes each level in two half-steps through the
-m of the class sum (``acc``): the factor B[d][m] * C[h][m] moves a state
-from its a_i to m, and A[a_o][m] from m to a_o.  It reads the factor rows
-of ``acc._factor_rows``, not ``acc_iotse_table``, and makes about half the
-moves of a pass over whole class counts, with the same integers.  A log
-table still passes over ``acc_iotse_table``'s counts: a log sum over m
-first would change bits.
+``ensemble_table`` takes each level in two half-steps through the m of
+the class sum (``acc``): the factor B[d][m] * C[h][m] moves a state from
+its a_i to m, and A[a_o][m] from m to a_o.  It reads the factor rows of
+``acc._factor_rows``, not ``acc_iotse_table``, and makes about half the
+moves of a pass over whole class counts, with the same integers.  The pass
+is exact in both modes: a log table is the natural log of each exact
+class count, one per class.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .acc import (
     _EXACT, _ROW_CACHE_SIZE, RangeError, _b_range, _check_n, _class_rows, _Domain, _domain,
-    _factor_rows, _m_range, _Memo, acc_iotse_table,
+    _factor_rows, _m_range, _Memo,
 )
 from .combinatorics import ExactRatio, LogValue, binomial
 
@@ -62,10 +63,11 @@ __all__ = [
     "LOG_N_MAX",
 ]
 
-# Size ceilings: a full exact table touches O(K * N^2L) profiles, a single
-# class far fewer; log mode trades exactness for reach.  EXACT_TABLE_N_MAX
-# caps ensemble tables; ``acc.EXACT_TABLE_N_MAX`` is a different ceiling, on
-# accumulator tables.
+# Size ceilings: a full table touches O(K * N^2L) profiles, a single class
+# far fewer.  EXACT_TABLE_N_MAX caps ensemble tables in both modes, since a
+# log table is the exact pass's logs; LOG_N_MAX caps log class queries, which
+# trade exactness for reach.  ``acc.EXACT_TABLE_N_MAX`` is a different
+# ceiling, on accumulator tables.
 EXACT_TABLE_N_MAX = 64
 EXACT_CLASS_N_MAX = 128
 LOG_N_MAX = 512
@@ -215,18 +217,19 @@ def _forward(
     nonzero weight) of ``moves(level, key)``, and the terms reaching the
     same ``step(key, x, y)`` are summed.  The first half-step of a level
     also multiplies each state by the placement factor of its input count
-    key[0].  The class queries and a log table take one half-step a level,
-    whose moves (a_o, b_l, component count) list the support only; an exact
-    table takes two, through the m of the class sum (``_split_level``).
-    Values stay scaled by N! per level.
+    key[0], made once per count in a pass.  The class queries take one
+    half-step a level, whose moves (a_o, b_l, component count) list the
+    support only; a table takes two, in exact integers, through the m of
+    the class sum (``_split_level``).  Values stay scaled by N! per level.
 
     Exact terms are added into a running sum per state as they arrive:
     integer addition is exact in any order, so memory stays O(states).  Log
-    terms are collected per state and summed by ``log_sum_exp`` after the
-    half-step, which takes the peak first; a running log-add would change
-    bits.
+    terms, which only the class queries carry, are collected per state and
+    summed by ``log_sum_exp`` after the half-step, which takes the peak
+    first; a running log-add would change bits.
     """
-    N, mul, place = config.N, dom.mul, dom.place
+    N, mul = config.N, dom.mul
+    place = _Memo(lambda a: dom.place(N, a))
     exact = dom is _EXACT
     state = {(config.q * w, w, 0, w): dom.binom(config.K, w) for w in ws}
     for level in range(config.L):
@@ -234,7 +237,7 @@ def _forward(
             nxt: Dict[tuple, object] = {}
             for key, value in state.items():
                 if i == 0:
-                    value = mul(value, place(N, key[0]))
+                    value = mul(value, place[key[0]])
                 if exact:
                     for x, y, cnt in moves(level, key):
                         k = step(key, x, y)
@@ -322,7 +325,7 @@ def _out_of_m(key: tuple, a_i: int, a_o: int) -> tuple:
 
 
 def _split_level(N: int, L: int) -> tuple:
-    """The two half-steps of an exact table level, through the m of the class sum.
+    """The two half-steps of a table level, through the m of the class sum.
 
     A class count is sum_m A[a_o][m] * B[d][m] * C[h][m] (``acc``), and only
     the A factor depends on a_o.  So a state (a_i, a, b) first moves to
@@ -358,23 +361,19 @@ def ensemble_table(
 ) -> Dict[Tuple[int, int], Value]:
     """All nonzero ensemble-average class counts, keyed by (a, b).
 
-    Exact-mode results equal the per-class profile sums as rationals.
+    Exact-mode results equal the per-class profile sums as rationals.  The
+    pass is exact in both modes: a log-mode entry is
+    ``math.log(f.numerator) - math.log(f.denominator)`` of the exact entry f.
     """
-    dom = _domain_within(config, mode, EXACT_TABLE_N_MAX)
-    N = config.N
-    if dom is _EXACT:
-        half_steps = _split_level(N, config.L)
-    else:
-        rows: Dict[int, list] = {}  # every nonzero class of the component, by a_i
-        for (a_i, a_o, b_l), cnt in acc_iotse_table(N, mode).entries.items():
-            rows.setdefault(a_i, []).append((a_o, b_l, cnt))
-        half_steps = ((lambda level, key: rows.get(key[0], ()), _by_class),)
-
-    # A class's final states: one per last a_o in log mode, one in exact mode.
-    by_class: Dict[Tuple[int, int], list] = {}
-    for key, value in _forward(config, dom, range(config.K + 1), *half_steps).items():
-        by_class.setdefault(key[1:3], []).append(value)
-    return {k: dom.finish(dom.total(v), N, config.L) for k, v in sorted(by_class.items())}
+    exact = _domain(mode) is _EXACT
+    _check_n(config.N, EXACT_TABLE_N_MAX, f"{mode}-mode ensemble")
+    N, L = config.N, config.L
+    # The last level keys one final state (0, a, b) per class.
+    state = _forward(config, _EXACT, range(config.K + 1), *_split_level(N, L))
+    table = {key[1:]: _EXACT.finish(v, N, L) for key, v in sorted(state.items())}
+    if exact:
+        return table
+    return {k: math.log(f.numerator) - math.log(f.denominator) for k, f in table.items()}
 
 
 def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:

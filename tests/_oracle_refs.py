@@ -15,7 +15,8 @@ terminated final node, tested at each of a check's three neighbours.
 (a_o, b_l) of the class box is counted and the zero counts are dropped.
 ``rma_tse.ensemble`` visits only the support of the component count; the
 tests hold it to these bit for bit.  ``table_by_rows`` is the ensemble table
-with one move per whole class count, which the split exact levels must equal.
+with one move per whole class count, which the split exact levels must equal
+and the exact pass's log tables must be near.
 ``support_span`` and ``support_pair`` are the support moves as a loop over
 every a_o with one ``_b_range`` and one ``_count`` per class, which the
 shared-row counts and the hoisted a_o bound must equal.
@@ -181,7 +182,7 @@ def table_by_rows(config, mode):
 
     Each state (a_i, a, b) takes every nonzero class (a_i, a_o, b_l) of
     ``acc_iotse_table`` in a single move, as the table was built before its
-    exact levels were split at m; the log table is still built this way.
+    levels were split at m; log tables were built this way in log counts.
     """
     dom, N = _domain(mode), config.N
     rows = {}

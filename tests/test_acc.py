@@ -181,6 +181,15 @@ class TestSupport:
                         nonzero = rma_tse.acc._count(dom, n, a_i, a_o, b) != dom.zero
                         assert (b in support) == nonzero, (n, a_i, a_o, b)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 12])
+    def test_range_is_the_nonzero_b_for_a_i_within_n(self, N):
+        # _b_range's precondition is a_i <= N; b runs past N, where every count is zero.
+        dom = rma_tse.acc._EXACT
+        for a_i in range(N + 1):
+            for a_o in range(N + 1):
+                nonzero = [b for b in range(2 * N + 2) if rma_tse.acc._count(dom, N, a_i, a_o, b)]
+                assert list(rma_tse.acc._b_range(N, a_i, a_o)) == nonzero, (N, a_i, a_o)
+
 
 class TestAccIowe:
     def test_values(self):

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,8 @@ from rma_tse.ensemble import (
     ensemble_iowe,
     ensemble_table,
     ensemble_tse,
+    _by_class,
+    _forward,
 )
 from rma_tse.oracles import encode, graph_ensemble_average
 
@@ -195,25 +199,53 @@ class TestEnsembleTable:
                 assert list(ensemble_table(cfg).items()) == list(expect.items())
 
     def test_exact_table_reads_only_factor_rows(self, monkeypatch):
+        # Neither mode builds acc_iotse_table: a log table is the exact pass's logs.
         expect = {cfg: table_by_rows(cfg, "exact") for cfg in (CFG_L2, EnsembleConfig(1, 5, 3))}
 
         def refuse(*args, **kwargs):
-            raise AssertionError("exact ensemble_table built acc_iotse_table")
+            raise AssertionError("ensemble_table built acc_iotse_table")
 
-        monkeypatch.setattr(rma_tse.ensemble, "acc_iotse_table", refuse)
+        assert not hasattr(rma_tse.ensemble, "acc_iotse_table")
         monkeypatch.setattr(rma_tse.acc, "acc_iotse_table", refuse)
         for cfg, table in expect.items():
             assert list(ensemble_table(cfg).items()) == list(table.items())
-        with pytest.raises(AssertionError, match="built acc_iotse_table"):
-            ensemble_table(CFG_L2, "log")
+            assert list(ensemble_table(cfg, "log")) == list(table)
 
     @pytest.mark.parametrize("cfg", [CFG_L2, EnsembleConfig(1, 5, 3), EnsembleConfig(3, 3, 2),
                                      EnsembleConfig(2, 5, 2)])
     def test_log_table_is_whole_class_moves(self, cfg):
-        expect = table_by_rows(cfg, "log")
-        assert [(k, bits(v)) for k, v in ensemble_table(cfg, "log").items()] == [
-            (k, bits(v)) for k, v in expect.items()
+        # Each log entry is the documented log of the exact entry, bit for bit,
+        # and within 1e-13 of a pass over whole log class counts.
+        logs = ensemble_table(cfg, "log")
+        exact = ensemble_table(cfg)
+        assert [(k, bits(v)) for k, v in logs.items()] == [
+            (k, bits(math.log(f.numerator) - math.log(f.denominator))) for k, f in exact.items()
         ]
+        by_rows = table_by_rows(cfg, "log")
+        assert list(logs) == list(by_rows)
+        assert max(abs(logs[k] - v) for k, v in by_rows.items()) <= 1e-13
+
+    @pytest.mark.parametrize("cfg, bound", [
+        # The largest error of the previous log pass over whole log class
+        # counts on the same config: the exact pass's logs must not exceed it.
+        ((2, 10, 2), 1.913e-14),
+        ((1, 5, 3), 5.514e-15),
+    ])
+    def test_log_table_against_decimal_reference(self, cfg, bound):
+        cfg = EnsembleConfig(*cfg)
+        logs = ensemble_table(cfg, "log")
+        with localcontext() as ctx:
+            ctx.prec = 60
+            error = max(abs(float(Decimal(logs[k]) - Decimal(f.numerator).ln()
+                                  + Decimal(f.denominator).ln()))
+                        for k, f in ensemble_table(cfg).items())
+        assert error <= bound
+
+    def test_log_table_ceiling(self):
+        # A log table runs the exact pass, so it takes the exact table's ceiling.
+        with pytest.raises(ResourceLimitError) as info:
+            ensemble_table(EnsembleConfig(q=2, K=33, L=2), "log")
+        assert str(info.value) == "log-mode ensemble capped at N=64, got 66"
 
     def test_exact_table_memory(self):
         # Measured (tracemalloc peak): 43.6 MiB when each state kept a list of
@@ -410,6 +442,26 @@ class TestSupportMoves:
                 ensemble_tse(EnsembleConfig(q=1, K=K, L=2), TrappingSetClass(K, 1), mode)
         info = rma_tse.ensemble._support_moves.cache_info()
         assert 0 < info.currsize <= info.maxsize == size
+
+
+class TestForward:
+    def test_placement_once_per_input_count(self):
+        # A counting log domain: one pass asks for each a's placement factor
+        # once, so at most N + 1 times, and its values keep every bit.
+        log = rma_tse.acc._LOG
+        calls = []
+
+        def place(N, a):
+            calls.append(a)
+            return log.place(N, a)
+
+        cfg = EnsembleConfig(q=2, K=6, L=3)
+        span = rma_tse.ensemble._support_moves(log, cfg.N)[0]
+        half_step = (lambda level, key: span(key[0], cfg.N - 1, cfg.N), _by_class)
+        expect = _forward(cfg, log, range(cfg.K + 1), half_step)
+        got = _forward(cfg, dataclasses.replace(log, place=place), range(cfg.K + 1), half_step)
+        assert len(calls) == len(set(calls)) <= cfg.N + 1
+        assert [(k, bits(v)) for k, v in got.items()] == [(k, bits(v)) for k, v in expect.items()]
 
 
 class TestClassQueryPins:
