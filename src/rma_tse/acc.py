@@ -287,6 +287,8 @@ def _count(dom: _Domain, N: int, a_i: int, a_o: int, b: int):
         return dom.binom(N, a_i) if a_i == b else dom.zero
     h, d = (a_i + b) // 2, (a_i - b) // 2
     ms = _m_range(N, d, h, min(a_o, N - a_o))
+    if not ms:
+        return dom.zero  # the empty sum, with no factor rows looked up
     by_ao, by_d, by_h = _factor_rows(dom.binom, dom.mul, N)
     return dom.total(map(
         dom.mul,

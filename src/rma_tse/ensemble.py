@@ -25,7 +25,13 @@ count as ``acc_iotse_table`` makes its entries, from rows of
 ``acc._class_rows``: each a_o's A row and each (a_i, b)'s B * C row is made
 once and shared, and every count equals ``acc_iotse`` bit for bit.  Counts
 and rows are kept per (value domain, N), in one bounded cache, for every
-later query at that N.
+later query at that N.  The level before the last takes only the moves the
+last level can close, tested before any count is made: ``ensemble_tse``
+keeps (a_o, b_l) when the rest of the class, (a - a_o, b - b_l), is on the
+support from a_o, and ``ensemble_iowe`` the a_o from which (d, 0) is on it.
+Whether a move is kept depends only on the state it leads to, so the states
+that stay get every term in the same order, and every output bit is the
+unpruned pass's.
 
 ``ensemble_table`` takes each level in two half-steps through the m of
 the class sum (``acc``): the factor B[d][m] * C[h][m] moves a state from
@@ -150,16 +156,28 @@ def _by_path(key: tuple, a_o: int, b_l: int) -> tuple:
     return _by_class(key, a_o, b_l) + key[3:] + ((a_o, b_l),)
 
 
+def _within(r: range, lo: int, hi: int) -> range:
+    """The elements of the ascending range ``r`` that lie in [lo, hi]."""
+    start = r.start + max(0, (lo - r.start + r.step - 1) // r.step) * r.step
+    return range(start, min(r.stop, hi + 1), r.step)
+
+
 @functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _support_moves(dom: _Domain, N: int) -> Tuple[Callable[..., list], Callable[..., list]]:
-    """``span(a_i, a_o_max, b_max)`` and ``pair(a_i, a_o, b)``: the moves
-    (a_o, b_l, count) from a_i with a nonzero component count.
+    """``span(a_i, a_os, b_max, rest=None)`` and ``pair(a_i, a_o, b)``: the
+    moves (a_o, b_l, count) from a_i with a nonzero component count.
 
-    ``span`` takes every b_l <= b_max of each a_o <= a_o_max, a_o then b_l
-    ascending; ``pair`` takes (a_o, b) alone.  Only the support
-    ``_b_range`` is visited, so no zero count is made or looked up.  A count
-    is made on first use from the rows of ``acc._class_rows``: each a_o's A
-    row and each (a_i, b)'s B * C row is made once and shared, as
+    ``span`` takes every b_l <= b_max of each a_o of the ascending range
+    ``a_os``, a_o then b_l ascending; ``pair`` takes (a_o, b) alone.  Only
+    the support ``_b_range`` is visited, so no zero count is made or looked
+    up.  With ``rest`` = (a, b), the a and b a class has left before the
+    move, ``span`` keeps only the moves that the last level can close:
+    a - a_o < N and b - b_l in ``_b_range(N, a_o, a - a_o)``, where
+    ``pair(a_o, a - a_o, b - b_l)`` is not empty.  That test is made on
+    the ranges before any count, so a dead-end move makes no count.
+
+    A count is made on first use from the rows of ``acc._class_rows``: each
+    a_o's A row and each (a_i, b)'s B * C row is made once and shared, as
     ``acc_iotse_table`` shares them, so every count equals ``acc_iotse`` bit
     for bit.  Counts and rows are kept for every later query at the same
     (value domain, N); like ``acc._factor_rows``, at most
@@ -178,14 +196,25 @@ def _support_moves(dom: _Domain, N: int) -> Tuple[Callable[..., list], Callable[
 
     counts = _Memo(count)
 
-    def span(a_i: int, a_o_max: int, b_max: int) -> list:
+    def span(a_i: int, a_os: range, b_max: int, rest: Optional[Tuple[int, int]] = None) -> list:
         # b >= a_i - 2 min(a_o, N - a_o) on the support, so no b <= b_max
         # exists for a_o below lo or above N - lo.
         lo = max(0, (a_i - b_max + 1) // 2)
+        a_os = _within(a_os, lo, N - lo)
+        if rest is not None:
+            a_rest, b_rest = rest
+            a_os = _within(a_os, a_rest - N + 1, a_rest)
         out = []
-        for a_o in range(lo, min(a_o_max, N - lo) + 1):
+        for a_o in a_os:
             bs = _b_range(N, a_i, a_o)
             bs = range(bs.start, min(bs.stop, b_max + 1), 2)
+            if rest is not None:
+                # b_l has the parity of a_i and the last level's b that of
+                # a_o (a_o <= N - 1, so _b_range's precondition holds).
+                last = _b_range(N, a_o, a_rest - a_o)
+                if not last or (a_i + a_o + b_rest) % 2:
+                    continue
+                bs = _within(bs, b_rest - last[-1], b_rest - last.start)
             out += [(a_o, b, counts[a_i, a_o, b]) for b in bs]
         return out
 
@@ -221,6 +250,12 @@ def _forward(
     half-step a level, whose moves (a_o, b_l, component count) list the
     support only; a table takes two, in exact integers, through the m of
     the class sum (``_split_level``).  Values stay scaled by N! per level.
+
+    ``moves`` may leave out a move only by a rule on the state it leads to,
+    and only if that state would reach no final state: a state is then
+    either never made or gets every term it had, in the same order, so the
+    final states and their bits are those of the full move set.  The class
+    queries leave out the moves the last level cannot close this way.
 
     Exact terms are added into a running sum per state as they arrive:
     integer addition is exact in any order, so memory stays O(states).  Log
@@ -295,11 +330,13 @@ def ensemble_tse(
     span, pair = _support_moves(dom, N)
 
     def moves(level: int, key: tuple):
-        # Stay inside the class; the last level takes the rest of it.
+        # Stay inside the class; the last level takes the rest of it, and the
+        # level before it only the moves that the last can close.
         a_i, a_rem, b_rem = key[0], cls.a - key[1], cls.b - key[2]
         if level == L - 1:
             return pair(a_i, a_rem, b_rem) if a_rem < N else []
-        return span(a_i, min(a_rem, N - 1), b_rem)
+        rest = (a_rem, b_rem) if level == L - 2 else None
+        return span(a_i, range(min(a_rem, N - 1) + 1), b_rem, rest)
 
     state = _forward(
         config, dom, range(min(config.K, cls.a) + 1), (moves, _by_path if breakdown else _by_class)
@@ -387,9 +424,15 @@ def ensemble_iowe(config: EnsembleConfig, d: int, mode: str = "exact") -> Value:
     dom = _domain_within(config, mode, EXACT_CLASS_N_MAX)
     N, last = config.N, config.L - 1
     span, pair = _support_moves(dom, N)
+    # The last level's pair(a_o, d, 0) is not empty for a_o = 0 at d = 0, and
+    # for even 2 <= a_o <= 2 min(d, N - d) at 0 < d; a_o < N at every level.
+    # The level before it takes only those a_o.
+    closing = range(1) if d == 0 else range(2, min(2 * d, 2 * (N - d), N - 1) + 1, 2)
 
     def moves(level: int, key: tuple):
-        return pair(key[0], d, 0) if level == last else span(key[0], N - 1, 0)
+        if level == last:
+            return pair(key[0], d, 0)
+        return span(key[0], closing if level == last - 1 else range(N), 0)
 
     # States merge by input count alone: the class (a, b) is not asked for.
     state = _forward(config, dom, range(config.K + 1), (moves, lambda k, a_o, b_l: (a_o, 0, 0)))

@@ -167,6 +167,21 @@ class TestCountKernel:
         assert all(y - x <= terms for x, y in zip(before, entries()))
 
 
+    @pytest.mark.parametrize("triple", [
+        AccTriple(20000, 6000, 300, 4000),  # |d| = 1000 > min(a_o, N - a_o) = 300
+        AccTriple(64, 40, 10, 0),  # an iowe_b0_reduction class: w = 40 > 2 min(d, N - d)
+        AccTriple(10, 10, 5, 10),  # h = N: C(N - 2m, h - m) = 0 for every m >= 1
+    ])
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    def test_empty_m_range_looks_up_no_rows(self, monkeypatch, mode, triple):
+        # The empty sum is the domain's zero, returned before any factor row.
+        def refuse(*args):
+            raise AssertionError("looked up factor rows for an empty sum")
+
+        monkeypatch.setattr(rma_tse.acc, "_factor_rows", refuse)
+        assert acc_iotse(triple, mode) == rma_tse.acc._domain(mode).zero
+
+
 class TestSupport:
     """``_b_range`` is exactly where a class count is nonzero."""
 

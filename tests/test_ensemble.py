@@ -335,6 +335,10 @@ def profile_bits(breakdown):
     return [(profile, bits(value)) for profile, value in breakdown]
 
 
+def move_bits(moves):
+    return [(a_o, b, bits(cnt)) for a_o, b, cnt in moves]
+
+
 class TestSupportMoves:
     """The support-only moves against the full move sets (tests/_oracle_refs.py), bit for bit."""
 
@@ -407,7 +411,7 @@ class TestSupportMoves:
         dom = rma_tse.acc._domain(mode)
         span, pair = rma_tse.ensemble._support_moves.__wrapped__(dom, N)
         moves = [((a_i, a_o, b), bits(cnt)) for a_i in range(N + 1)
-                 for a_o, b, cnt in span(a_i, N - 1, N)]
+                 for a_o, b, cnt in span(a_i, range(N), N)]
         table = acc_iotse_table(N, mode).entries
         assert moves == [(key, bits(cnt)) for key, cnt in table.items()]
         for key, cnt in moves:
@@ -418,22 +422,72 @@ class TestSupportMoves:
     @pytest.mark.parametrize("N", [1, 2, 3, 7, 13])
     def test_hoisted_span_and_pair_are_the_reference_loops(self, N, mode):
         # span's a_o ranges: ensemble_tse's 0..min(a_rem, N - 1), ensemble_iowe's
-        # 0..N - 1 with b_max = 0; b_max past N as a class's remaining b can be.
+        # 0..N - 1 and its even a_o before the last level, with b_max = 0;
+        # b_max past N as a class's remaining b can be.
         dom = rma_tse.acc._domain(mode)
         span, pair = rma_tse.ensemble._support_moves.__wrapped__(dom, N)
-
-        def move_bits(moves):
-            return [(a_o, b, bits(cnt)) for a_o, b, cnt in moves]
 
         for a_i in range(N + 1):
             for b_max in [*range(N + 1), 2 * N + 1]:
                 for a_o_max in range(N):
-                    expect = support_span(dom, N, a_i, range(a_o_max + 1), b_max)
-                    assert move_bits(span(a_i, a_o_max, b_max)) == move_bits(expect)
+                    for a_os in (range(a_o_max + 1), range(2, a_o_max + 1, 2)):
+                        expect = support_span(dom, N, a_i, a_os, b_max)
+                        assert move_bits(span(a_i, a_os, b_max)) == move_bits(expect)
             for a_o in range(N + 1):
                 for b in range(2 * N + 2):
                     expect = support_pair(dom, N, a_i, a_o, b)
                     assert move_bits(pair(a_i, a_o, b)) == move_bits(expect)
+
+    @pytest.mark.parametrize("mode", ["exact", "log"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 13])
+    def test_span_with_rest_keeps_what_the_last_level_closes(self, N, mode):
+        # With the class's remaining (a, b), span is the plain span filtered by
+        # the last level's pair(a_o, a - a_o, b - b_l), as ensemble_tse calls it
+        # (a - a_o < N); a_o budgets past the remaining a too.
+        dom = rma_tse.acc._domain(mode)
+        span = rma_tse.ensemble._support_moves.__wrapped__(dom, N)[0]
+        for a_i in range(N + 1):
+            moves = support_span(dom, N, a_i, range(N), 2 * N + 1)
+            for a_rest in range(2 * N):
+                for b_rest in range(2 * N + 2):
+                    for a_o_max in {min(a_rest, N - 1), N - 1}:
+                        expect = [
+                            (a_o, b_l, cnt) for a_o, b_l, cnt in moves
+                            if a_o <= a_o_max and b_l <= b_rest and 0 <= a_rest - a_o < N
+                            and support_pair(dom, N, a_o, a_rest - a_o, b_rest - b_l)
+                        ]
+                        got = span(a_i, range(a_o_max + 1), b_rest, (a_rest, b_rest))
+                        assert move_bits(got) == move_bits(expect)
+
+    def test_dead_end_moves_make_no_count(self, monkeypatch):
+        # Every count made by a fresh memo is a move of a profile that closes
+        # the class: the brute-force live moves of both levels, and no other.
+        cfg, cls = EnsembleConfig(3, 16, 2), TrappingSetClass(24, 5)
+        N, log = cfg.N, rma_tse.acc._LOG
+        made = []
+
+        class Recording(rma_tse.acc._Memo):
+            def __missing__(self, key):
+                made.append(key)
+                return super().__missing__(key)
+
+        def nonzero(*key):
+            return rma_tse.acc._count(log, N, *key) != log.zero
+
+        live = set()
+        for w in range(min(cfg.K, cls.a) + 1):
+            a_rem = cls.a - w
+            for a_o in range(min(a_rem, N - 1) + 1):
+                for b_l in range(cls.b + 1):
+                    first, last = (cfg.q * w, a_o, b_l), (a_o, a_rem - a_o, cls.b - b_l)
+                    if last[1] < N and nonzero(*first) and nonzero(*last):
+                        live |= {first, last}
+        expect = ensemble_tse(cfg, cls, "log").value
+        monkeypatch.setattr(rma_tse.ensemble, "_Memo", Recording)
+        monkeypatch.setattr(rma_tse.ensemble, "_support_moves",
+                            rma_tse.ensemble._support_moves.__wrapped__)
+        assert bits(ensemble_tse(cfg, cls, "log").value) == bits(expect)
+        assert {key for key in made if isinstance(key, tuple) and len(key) == 3} == live
 
     def test_count_memo_is_bounded(self):
         size = rma_tse.acc._ROW_CACHE_SIZE
@@ -457,7 +511,7 @@ class TestForward:
 
         cfg = EnsembleConfig(q=2, K=6, L=3)
         span = rma_tse.ensemble._support_moves(log, cfg.N)[0]
-        half_step = (lambda level, key: span(key[0], cfg.N - 1, cfg.N), _by_class)
+        half_step = (lambda level, key: span(key[0], range(cfg.N), cfg.N), _by_class)
         expect = _forward(cfg, log, range(cfg.K + 1), half_step)
         got = _forward(cfg, dataclasses.replace(log, place=place), range(cfg.K + 1), half_step)
         assert len(calls) == len(set(calls)) <= cfg.N + 1
@@ -483,6 +537,16 @@ class TestClassQueryPins:
         assert hashlib.sha256(profiles).hexdigest() == (
             "c75bc55e2f643a99dfecb0be82d540405110751f5da6da4a487a139aa11d0d67"
         )
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("exact", "b5cb8875ebbb335072992b18e1e0cc1010aa7f6c1d41dd83d62a4046d7b441c3"),
+        ("log", "928c21a8fc6cc8bf4e36b2061aaf7cdd8641073f349b79da8f7eb89b2cb92697"),
+    ])
+    def test_ensemble_iowe_every_d(self, mode, digest):
+        # d = 0, 0 < d < N/2, d >= N/2 and d = N: every edge of the a_o bound.
+        cfg = EnsembleConfig(2, 64, 2)
+        values = repr([bits(ensemble_iowe(cfg, d, mode)) for d in range(cfg.N + 1)]).encode()
+        assert hashlib.sha256(values).hexdigest() == digest
 
     @pytest.mark.parametrize("d, value", [(64, "41.00654169045084"), (100, "19.762512114738335")])
     def test_ensemble_iowe(self, d, value):
